@@ -9,23 +9,19 @@
  * per-tick drain throughput, p99 tick latency and resident
  * bytes/session on top of the usual deterministic counters.
  *
- * Three passes per run:
+ * Two passes per run:
  *
  *  1. verify - a small poisoned fleet (NaN, +/-Inf and negative
  *     counters, stale sequence numbers, frequent wraps at a narrow
- *     counter width) is replayed at --jobs 1, --jobs N and with the
- *     SIMD level forced to scalar. All three runs must produce the
- *     same digest: worker count and dispatch level are speed knobs,
- *     never numerics knobs, even on adversarial payloads.
- *  2. ratio - a mid-size fleet is drained twice, once at the scalar
- *     level and once at the dispatched best level. The digests must
- *     match bitwise; the wall-clock ratio is reported as the gated
- *     simd_speedup_x metric (deterministic counters and this ratio
- *     are the only gated metrics - absolute wall clock never gates).
- *  3. scale - the full fleet. Clients are offered in chunks sized
+ *     counter width) is replayed at --jobs 1 and --jobs N. Both runs
+ *     must produce the same digest: the worker count is a speed
+ *     knob, never a numerics knob, even on adversarial payloads.
+ *  2. scale - the full fleet. Clients are offered in chunks sized
  *     under the aggregate drain budget so the bounded rings never
  *     shed or overflow; every sample is drained and estimated. The
- *     run digest must be identical across repetitions.
+ *     run digest must be identical across repetitions. Only the
+ *     deterministic counters (and the telemetry ceiling below) are
+ *     gated - absolute wall clock never gates.
  *
  * With --timeline-out (or TDP_TIMELINE_OUT) each repetition runs the
  * scale pass twice - telemetry off (the reported throughput leg) and
@@ -60,7 +56,6 @@
 #include "measure/trace_io.hh"
 #include "resilience/retry.hh"
 #include "resilience/shutdown.hh"
-#include "simd/dispatch.hh"
 #include "stream/service.hh"
 #include "stream/synthetic.hh"
 
@@ -183,7 +178,7 @@ accumulateSessions(const StreamService &service, PassResult &r)
 /**
  * The verify-pass fleet: a narrow counter width so wraps are routine,
  * plus hashed per-(client, round) poison covering every adversarial
- * payload class the lane kernels classify - NaN, +Inf, -Inf,
+ * payload class the session table refuses - NaN, +Inf, -Inf,
  * out-of-range (negative) counters and stale sequence numbers.
  */
 PassResult
@@ -440,24 +435,14 @@ runScale(int argc, char **argv)
                 opt.clients, opt.rounds, opt.shards, drainBudget);
 
     // Pass 1: poisoned small fleet must be bitwise invariant to the
-    // worker count AND the SIMD dispatch level.
-    const SimdLevel best = activeSimdLevel();
+    // worker count.
     const PassResult serial = runVerifyPass(opt, 1);
     const PassResult parallel = runVerifyPass(opt, wide);
-    setActiveSimdLevel(SimdLevel::Scalar);
-    const PassResult scalar = runVerifyPass(opt, 1);
-    setActiveSimdLevel(best);
     if (!sameResult(serial, parallel))
         fatal("stream_scale: verify digest diverged between --jobs "
               "1 (%016llx) and --jobs %d (%016llx)",
               static_cast<unsigned long long>(serial.digest), wide,
               static_cast<unsigned long long>(parallel.digest));
-    if (!sameResult(serial, scalar))
-        fatal("stream_scale: verify digest diverged between the %s "
-              "(%016llx) and scalar (%016llx) verdict pipelines",
-              simdLevelName(best),
-              static_cast<unsigned long long>(serial.digest),
-              static_cast<unsigned long long>(scalar.digest));
     if (serial.invalid == 0 || serial.wraps == 0 ||
         serial.quarantines == 0)
         fatal("stream_scale: verify pass saw %llu invalid / %llu "
@@ -466,7 +451,7 @@ runScale(int argc, char **argv)
               static_cast<unsigned long long>(serial.wraps),
               static_cast<unsigned long long>(serial.quarantines));
     std::printf("verify    digest %016llx identical at --jobs 1/"
-                "--jobs %d/scalar (%llu invalid, %llu wraps, %llu "
+                "--jobs %d (%llu invalid, %llu wraps, %llu "
                 "quarantines)\n",
                 static_cast<unsigned long long>(serial.digest), wide,
                 static_cast<unsigned long long>(serial.invalid),
@@ -474,32 +459,14 @@ runScale(int argc, char **argv)
                 static_cast<unsigned long long>(serial.quarantines));
 
     const int reps = benchRepetitions();
-    std::vector<double> speedup, samplesPerSec, p99Ms, bytesPerSess,
+    std::vector<double> samplesPerSec, p99Ms, bytesPerSess,
         scaleSeconds;
     PassResult scaleFirst;
     std::unique_ptr<StreamService> scaleService;
     double overheadRatio = 0.0;
 
     for (int rep = 0; rep < reps; ++rep) {
-        // Pass 2: scalar-vs-dispatched ratio on a mid-size fleet.
-        const int ratioClients = 32768;
-        setActiveSimdLevel(SimdLevel::Scalar);
-        const PassResult slow = runDrainPass(
-            opt, ratioClients, 6, 8, 1024, nullptr, false, nullptr);
-        setActiveSimdLevel(best);
-        const PassResult fast = runDrainPass(
-            opt, ratioClients, 6, 8, 1024, nullptr, false, nullptr);
-        if (!sameResult(slow, fast))
-            fatal("stream_scale: ratio digest diverged between "
-                  "scalar (%016llx) and %s (%016llx)",
-                  static_cast<unsigned long long>(slow.digest),
-                  simdLevelName(best),
-                  static_cast<unsigned long long>(fast.digest));
-        speedup.push_back(fast.tickSeconds > 0.0
-                              ? slow.tickSeconds / fast.tickSeconds
-                              : 1.0);
-
-        // Pass 3: the full fleet, telemetry off - the baseline leg
+        // Pass 2: the full fleet, telemetry off - the baseline leg
         // every reported throughput number comes from. The service
         // of the last repetition's final leg is kept alive so the
         // scale run contributes its stream.* manifest sections and
@@ -570,10 +537,9 @@ runScale(int argc, char **argv)
                 static_cast<unsigned long long>(scale.digest));
         }
         std::printf("rep %d/%d  %.2fM samples/s, p99 tick %.2f ms, "
-                    "%.0f B/session, simd x%.3f\n",
+                    "%.0f B/session\n",
                     rep + 1, reps, samplesPerSec.back() / 1e6,
-                    p99Ms.back(), bytesPerSess.back(),
-                    speedup.back());
+                    p99Ms.back(), bytesPerSess.back());
         std::fflush(stdout);
     }
 
@@ -593,14 +559,6 @@ runScale(int argc, char **argv)
         reps));
     metrics.push_back(exactSeries(
         "digest_hi32", double(scaleFirst.digest >> 32), reps));
-
-    MetricSeries ratio;
-    ratio.name = "simd_speedup_x";
-    ratio.values = speedup;
-    ratio.unit = "x";
-    ratio.gate = true;
-    ratio.direction = "higher";
-    metrics.push_back(ratio);
 
     const auto ungated = [](const char *name,
                             const std::vector<double> &values,

@@ -5,7 +5,7 @@ Compares freshly produced bench JSON (format_version 2, see
 bench/common/bench_stats.hh) against the baselines committed at the
 repo root. Only metrics marked "gate": true participate: those are
 machine-portable by construction (deterministic counters and
-scalar-vs-SIMD ratios), never wall-clock seconds.
+same-run ratios), never wall-clock seconds.
 
 Gate rule per metric, driven by its "direction":
   higher:  fail when current mean < baseline mean - threshold

@@ -86,7 +86,7 @@ fitColumns(const SampleTrace &trace, Rail rail,
 
     if (with_squares) {
         try {
-            return fitOlsAuto(
+            return fitOls(
                 TraceDesignSource(trace, rail, fields, true));
         } catch (const FatalError &) {
             warn("quadratic fit for %s rank-deficient; "
@@ -96,7 +96,7 @@ fitColumns(const SampleTrace &trace, Rail rail,
     }
 
     FitResult fit =
-        fitOlsAuto(TraceDesignSource(trace, rail, fields, false));
+        fitOls(TraceDesignSource(trace, rail, fields, false));
     if (with_squares) {
         // Re-expand to the quadratic layout with zero square terms.
         std::vector<double> expanded(fields.size() * 2, 0.0);

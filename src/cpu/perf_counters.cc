@@ -6,7 +6,6 @@
 #include "cpu/perf_counters.hh"
 
 #include "common/logging.hh"
-#include "simd/lane_math.hh"
 
 namespace tdp {
 
@@ -65,8 +64,8 @@ wrappedCounterDelta(double previous_raw, double current_raw,
 CounterSnapshot &
 CounterSnapshot::operator+=(const CounterSnapshot &other)
 {
-    lanes::addAssign(counts.data(), other.counts.data(),
-                     counts.size());
+    for (size_t i = 0; i < counts.size(); ++i)
+        counts[i] += other.counts[i];
     return *this;
 }
 

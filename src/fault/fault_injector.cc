@@ -9,7 +9,6 @@
 #include <limits>
 
 #include "common/logging.hh"
-#include "simd/lane_math.hh"
 
 namespace tdp {
 
@@ -43,23 +42,19 @@ FaultInjector::corruptSnapshot(int cpu, CounterSnapshot &snapshot)
             rawCounters_.resize(static_cast<size_t>(cpu) + 1);
         CounterSnapshot &raw = rawCounters_[static_cast<size_t>(cpu)];
         const double span = counterSpan(plan_.counterWidthBits);
-        const CounterSnapshot previous = raw;
-        for (int e = 0; e < numPerfEvents; ++e) {
-            const size_t i = static_cast<size_t>(e);
+        for (size_t i = 0; i < snapshot.counts.size(); ++i) {
+            const double previous = raw.counts[i];
             // The physical counter accumulates modulo 2^width; the
             // sampler only ever sees these wrapped raw values.
             raw.counts[i] =
-                std::fmod(previous.counts[i] + snapshot.counts[i],
-                          span);
-            if (raw.counts[i] < previous.counts[i])
+                std::fmod(previous + snapshot.counts[i], span);
+            if (raw.counts[i] < previous)
                 ++stats_.counterWraps;
+            // Driver-side recovery: reconstruct the delta exactly as
+            // a hardened perfctr read would.
+            snapshot.counts[i] = wrappedCounterDelta(
+                previous, raw.counts[i], plan_.counterWidthBits);
         }
-        // Driver-side recovery: reconstruct all ten deltas exactly
-        // as a hardened perfctr read would, one lane per event.
-        lanes::wrappedDeltas(snapshot.counts.data(),
-                             raw.counts.data(),
-                             previous.counts.data(), span,
-                             static_cast<size_t>(numPerfEvents));
     }
     for (int e = 0; e < numPerfEvents; ++e) {
         if (unavailable_[static_cast<size_t>(e)]) {

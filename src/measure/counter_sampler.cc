@@ -6,7 +6,6 @@
 #include "measure/counter_sampler.hh"
 
 #include "common/logging.hh"
-#include "simd/lane_math.hh"
 
 namespace tdp {
 
@@ -68,12 +67,9 @@ CounterSampler::takeSample()
         irqController_.lifetimeCount(diskVector_),
         irqController_.lifetimeDeviceTotal(),
     };
-    std::array<double, 3> irq_delta;
-    lanes::subtract(irq_delta.data(), irq_now.data(), lastIrq_.data(),
-                    irq_now.size());
-    reading.osInterruptsTotal = irq_delta[0];
-    reading.osDiskInterrupts = irq_delta[1];
-    reading.osDeviceInterrupts = irq_delta[2];
+    reading.osInterruptsTotal = irq_now[0] - lastIrq_[0];
+    reading.osDiskInterrupts = irq_now[1] - lastIrq_[1];
+    reading.osDeviceInterrupts = irq_now[2] - lastIrq_[2];
     lastIrq_ = irq_now;
     lastSampleTime_ = now;
 

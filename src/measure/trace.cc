@@ -48,8 +48,8 @@ SampleTrace::columns() const
         for (int r = 0; r < numRails; ++r)
             columns_.measured[static_cast<size_t>(r)].push_back(
                 s.measured(static_cast<Rail>(r)));
-        // One lane-batched sweep across the CPUs replaces ten; the
-        // per-event totals (and therefore the columns) are unchanged.
+        // One sweep across the CPUs replaces ten; the per-event
+        // totals (and therefore the columns) are unchanged.
         const CounterSnapshot totals = s.totalCounts();
         for (int e = 0; e < numPerfEvents; ++e)
             columns_.counters[static_cast<size_t>(e)].push_back(

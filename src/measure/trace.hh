@@ -48,7 +48,7 @@ struct AlignedSample
     double totalCount(PerfEvent event) const;
 
     /**
-     * All ten counters summed across CPUs in one lane-batched pass;
+     * All ten counters summed across CPUs in one pass;
      * bit-identical to calling totalCount() per event (same per-CPU
      * addition order).
      */

@@ -8,7 +8,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "simd/lane_math.hh"
 
 namespace tdp {
 
@@ -84,11 +83,11 @@ DramBank::advanceShared(double reads, double writes,
 {
     const QuantumResult q =
         advanceQuantum(params_, reads, writes, page_hit_rate, dt);
-    const size_t count = size();
-    lanes::addBroadcast(lifetimeReads_.data(), reads, count);
-    lanes::addBroadcast(lifetimeWrites_.data(), writes, count);
-    lanes::addBroadcast(lifetimeActivations_.data(), q.activations,
-                        count);
+    for (size_t b = 0; b < size(); ++b) {
+        lifetimeReads_[b] += reads;
+        lifetimeWrites_[b] += writes;
+        lifetimeActivations_[b] += q.activations;
+    }
     std::fill(lastActiveFraction_.begin(), lastActiveFraction_.end(),
               q.activeFraction);
     return q.power;

@@ -99,14 +99,14 @@ class DramModule
 
 /**
  * A population of identical DIMMs stepped together, with the per-DIMM
- * bookkeeping held as structure-of-arrays so a quantum's updates are
- * lane-batched instead of one scalar advance() per module.
+ * bookkeeping held as structure-of-arrays so a quantum costs one
+ * power-chain evaluation instead of one advance() per module.
  *
  * The controller hands every DIMM the same per-module traffic share,
  * so the quantum's power chain is evaluated once (bit-identical to
  * DramModule::advance on the same inputs) and the lifetime
- * accumulators advance as broadcast lane adds. Per-DIMM inspection
- * accessors mirror DramModule's.
+ * accumulators each add the same per-module traffic. Per-DIMM
+ * inspection accessors mirror DramModule's.
  */
 class DramBank
 {

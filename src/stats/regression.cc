@@ -5,14 +5,11 @@
 
 #include "stats/regression.hh"
 
-#include <algorithm>
 #include <cmath>
-#include <cstdlib>
+#include <utility>
 
 #include "common/logging.hh"
 #include "common/running_stats.hh"
-#include "simd/dispatch.hh"
-#include "stats/lane_fit.hh"
 #include "stats/matrix.hh"
 #include "stats/solve.hh"
 
@@ -93,16 +90,16 @@ class ColumnsSource : public DesignSource
  * used, keeping the QR path bit-identical.
  */
 void
-prepareFit(const DesignSource &source, const char *who,
-           std::vector<double> &y, Matrix *design,
-           std::vector<double> &shift, std::vector<double> &scale)
+prepareFit(const DesignSource &source, std::vector<double> &y,
+           Matrix &design, std::vector<double> &shift,
+           std::vector<double> &scale)
 {
     const size_t n = source.sampleCount();
     const size_t k = source.regressorCount();
     if (n == 0)
-        fatal("%s: no samples", who);
+        fatal("fitOls: no samples");
     if (n < k + 1)
-        fatal("%s: %zu samples cannot fit %zu coefficients", who, n,
+        fatal("fitOls: %zu samples cannot fit %zu coefficients", n,
               k + 1);
 
     y.resize(n);
@@ -114,62 +111,37 @@ prepareFit(const DesignSource &source, const char *who,
     // callers can scrub or degrade.
     for (size_t i = 0; i < n; ++i) {
         if (!std::isfinite(y[i]))
-            fatal("%s: non-finite response at sample %zu", who, i);
+            fatal("fitOls: non-finite response at sample %zu", i);
     }
 
     shift.assign(k, 0.0);
     scale.assign(k, 1.0);
 
-    if (design) {
-        // Single pass over the source fills the design matrix with
-        // the raw regressors; the intercept column and the
-        // standardisation are applied in place afterwards.
+    // Single pass over the source fills the design matrix with the
+    // raw regressors; the intercept column and the standardisation
+    // are applied in place afterwards.
+    for (size_t r = 0; r < n; ++r) {
+        design(r, 0) = 1.0;
+        source.row(r, &design(r, 1));
+    }
+    for (size_t c = 0; c < k; ++c) {
         for (size_t r = 0; r < n; ++r) {
-            (*design)(r, 0) = 1.0;
-            source.row(r, &(*design)(r, 1));
+            if (!std::isfinite(design(r, c + 1)))
+                fatal("fitOls: non-finite regressor in column %zu at "
+                      "sample %zu",
+                      c, r);
         }
-        for (size_t c = 0; c < k; ++c) {
-            for (size_t r = 0; r < n; ++r) {
-                if (!std::isfinite((*design)(r, c + 1)))
-                    fatal("%s: non-finite regressor in column %zu at "
-                          "sample %zu",
-                          who, c, r);
-            }
-        }
-        for (size_t c = 0; c < k; ++c) {
-            RunningStats s;
-            for (size_t r = 0; r < n; ++r)
-                s.add((*design)(r, c + 1));
-            shift[c] = s.mean();
-            scale[c] = s.stddev() > 1e-12 ? s.stddev() : 1.0;
-        }
+    }
+    for (size_t c = 0; c < k; ++c) {
+        RunningStats s;
         for (size_t r = 0; r < n; ++r)
-            for (size_t c = 0; c < k; ++c)
-                (*design)(r, c + 1) =
-                    ((*design)(r, c + 1) - shift[c]) / scale[c];
+            s.add(design(r, c + 1));
+        shift[c] = s.mean();
+        scale[c] = s.stddev() > 1e-12 ? s.stddev() : 1.0;
     }
-}
-
-/**
- * Fold one standardised row into the reduced Gram/moment
- * accumulators, entry-for-entry in the order the lane kernels use.
- * Used for the n % kSimdLanes trailing rows after the lanes have
- * been reduced.
- */
-void
-accumulateRowScalar(const double *z, double yv, size_t k, Matrix &gram,
-                    std::vector<double> &moment)
-{
-    const size_t K = k + 1;
-    gram(0, 0) += 1.0;
-    for (size_t b = 1; b < K; ++b)
-        gram(0, b) += z[b - 1];
-    moment[0] += yv;
-    for (size_t a = 1; a < K; ++a) {
-        moment[a] += z[a - 1] * yv;
-        for (size_t b = a; b < K; ++b)
-            gram(a, b) += z[a - 1] * z[b - 1];
-    }
+    for (size_t r = 0; r < n; ++r)
+        for (size_t c = 0; c < k; ++c)
+            design(r, c + 1) = (design(r, c + 1) - shift[c]) / scale[c];
 }
 
 /** Map standardised-space beta back to the original input scale. */
@@ -201,188 +173,12 @@ fitOls(const DesignSource &source)
     std::vector<double> shift;
     std::vector<double> scale;
     Matrix design(n == 0 ? 1 : n, k + 1);
-    prepareFit(source, "fitOls", y, &design, shift, scale);
+    prepareFit(source, y, design, shift, scale);
 
     const std::vector<double> beta = solveLeastSquaresQr(design, y);
     FitResult fit = unstandardize(beta, shift, scale);
     finalizeGoodness(source, y, fit);
     return fit;
-}
-
-FitResult
-fitOlsNormalAt(SimdLevel level, const DesignSource &source)
-{
-    const size_t n = source.sampleCount();
-    const size_t k = source.regressorCount();
-    const size_t K = k + 1;
-    if (n == 0)
-        fatal("fitOlsNormal: no samples");
-    if (n < K)
-        fatal("fitOlsNormal: %zu samples cannot fit %zu coefficients",
-              n, K);
-
-    std::vector<double> y(n);
-    for (size_t i = 0; i < n; ++i)
-        y[i] = source.response(i);
-    for (size_t i = 0; i < n; ++i) {
-        if (!std::isfinite(y[i]))
-            fatal("fitOlsNormal: non-finite response at sample %zu",
-                  i);
-    }
-
-    // Centre the response up front (shared scalar code, identical at
-    // every level). The accumulators below run against yc = y - ymean
-    // so the residual sum recovered algebraically from them cancels
-    // against ss_tot -- the spread of y -- rather than against
-    // |y|^2, which keeps the recovered rmse/r2 well conditioned.
-    RunningStats ystats;
-    for (double v : y)
-        ystats.add(v);
-    const double ymean = ystats.mean();
-    std::vector<double> yc(n);
-    double ss_tot = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-        yc[i] = y[i] - ymean;
-        ss_tot += yc[i] * yc[i];
-    }
-
-    // Pass 1: per-column mean/stddev for the standardisation, lanes
-    // across columns (identical at every level by construction).
-    // Chunked so the fetched rows stay cache-resident; the source is
-    // the only full-size copy of the design.
-    constexpr size_t kBlockGroups = 256;
-    constexpr size_t kBlockRows = kBlockGroups * kSimdLanes;
-    lanefit::ColumnStats stats;
-    stats.reset(k);
-    std::vector<double> rows(kBlockRows * std::max<size_t>(k, 1));
-    for (size_t start = 0; start < n; start += kBlockRows) {
-        const size_t count = std::min(kBlockRows, n - start);
-        for (size_t r = 0; r < count; ++r)
-            source.row(start + r, &rows[r * k]);
-        const size_t bad =
-            lanefit::firstNonFinite(level, rows.data(), count * k);
-        if (bad != SIZE_MAX)
-            fatal("fitOlsNormal: non-finite regressor in "
-                  "column %zu at sample %zu",
-                  bad % k, start + bad / k);
-        lanefit::colStatsBlock(level, rows.data(), count, k, stats);
-    }
-    std::vector<double> shift(k, 0.0);
-    std::vector<double> scale(k, 1.0);
-    std::vector<double> inv_scale(k, 1.0);
-    for (size_t c = 0; c < k; ++c) {
-        shift[c] = stats.mean[c];
-        const double variance =
-            stats.n >= 2
-                ? stats.m2[c] / static_cast<double>(stats.n - 1)
-                : 0.0;
-        const double sd = std::sqrt(variance);
-        scale[c] = sd > 1e-12 ? sd : 1.0;
-        // k divides once per fit instead of one per element: the
-        // kernels multiply by the reciprocal, the same value at every
-        // level and in the trailing scalar fold below.
-        inv_scale[c] = 1.0 / scale[c];
-    }
-
-    // Pass 2 (the fused accumulator): the (k+1)x(k+1) Gram matrix
-    // ZᵀZ and moment vector Zᵀyc over standardised rows
-    // z = [1, (x - shift) * inv_scale], four rows per step. Lane l
-    // sums the grouped rows congruent to l mod 4; the lanes are
-    // reduced pairwise and the trailing n % 4 rows folded in scalar.
-    // Only the upper triangle is accumulated; it is mirrored before
-    // the solve.
-    const size_t ngroups = n / kSimdLanes;
-    std::vector<double> gram_lanes(K * K * kSimdLanes, 0.0);
-    std::vector<double> moment_lanes(K * kSimdLanes, 0.0);
-    lanefit::LaneBlock block;
-    for (size_t gstart = 0; gstart < ngroups; gstart += kBlockGroups) {
-        const size_t gcount = std::min(kBlockGroups, ngroups - gstart);
-        const size_t first = gstart * kSimdLanes;
-        for (size_t r = 0; r < gcount * kSimdLanes; ++r)
-            source.row(first + r, &rows[r * k]);
-        lanefit::stageBlock(level, rows.data(), yc.data() + first,
-                            gcount, k, block);
-        lanefit::standardizeBlock(level, block, shift.data(),
-                                  inv_scale.data());
-        lanefit::accumulateBlock(level, block, gram_lanes.data(),
-                                 moment_lanes.data());
-    }
-    Matrix gram(K, K);
-    std::vector<double> moment(K, 0.0);
-    for (size_t a = 0; a < K; ++a) {
-        moment[a] = lanefit::reduceLanes(
-            &moment_lanes[a * kSimdLanes]);
-        for (size_t b = a; b < K; ++b)
-            gram(a, b) = lanefit::reduceLanes(
-                &gram_lanes[(a * K + b) * kSimdLanes]);
-    }
-    std::vector<double> zrow(std::max<size_t>(k, 1));
-    for (size_t r = ngroups * kSimdLanes; r < n; ++r) {
-        source.row(r, zrow.data());
-        for (size_t c = 0; c < k; ++c)
-            zrow[c] = (zrow[c] - shift[c]) * inv_scale[c];
-        accumulateRowScalar(zrow.data(), yc[r], k, gram, moment);
-    }
-    for (size_t a = 0; a < K; ++a)
-        for (size_t b = 0; b < a; ++b)
-            gram(a, b) = gram(b, a);
-
-    // solveLinearSystem takes copies; gram/moment stay live for the
-    // goodness algebra below.
-    std::vector<double> beta;
-    try {
-        beta = solveLinearSystem(gram, moment);
-    } catch (const FatalError &err) {
-        // Match the QR path's failure mode for collinear designs so
-        // callers' fallback logic (quadratic -> linear) works the
-        // same whichever kernel they picked.
-        fatal("fitOlsNormal: rank-deficient system (%s)", err.what());
-    }
-
-    FitResult fit = unstandardize(beta, shift, scale);
-    fit.intercept += ymean;
-
-    // Goodness of fit, recovered algebraically from the accumulators
-    // instead of a third pass over the data:
-    //   ss_res = |yc - Z beta|^2 = yc'yc - 2 beta'(Z'yc) + beta'Z'Z beta
-    // with yc'yc = ss_tot because yc is centred. Every term is a
-    // shared scalar reduction over level-identical inputs, so the
-    // level contract holds with no re-staging. The difference is
-    // clamped at zero: for near-perfect fits rounding can push it
-    // epsilon-negative.
-    double bm = 0.0;
-    for (size_t a = 0; a < K; ++a)
-        bm += beta[a] * moment[a];
-    double bgb = 0.0;
-    for (size_t a = 0; a < K; ++a) {
-        double row_dot = 0.0;
-        for (size_t b = 0; b < K; ++b)
-            row_dot += gram(a, b) * beta[b];
-        bgb += beta[a] * row_dot;
-    }
-    double ss_res = ss_tot - 2.0 * bm + bgb;
-    if (ss_res < 0.0)
-        ss_res = 0.0;
-    fit.rmse = std::sqrt(ss_res / static_cast<double>(n));
-    fit.r2 = ss_tot > 0.0 ? 1.0 - ss_res / ss_tot : 1.0;
-    fit.sampleCount = n;
-    return fit;
-}
-
-FitResult
-fitOlsNormal(const DesignSource &source)
-{
-    return fitOlsNormalAt(activeSimdLevel(), source);
-}
-
-FitResult
-fitOlsAuto(const DesignSource &source)
-{
-    static const bool fast = [] {
-        const char *value = std::getenv("TDP_FAST_FIT");
-        return value && value[0] == '1' && value[1] == '\0';
-    }();
-    return fast ? fitOlsNormal(source) : fitOls(source);
 }
 
 FitResult

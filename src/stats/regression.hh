@@ -12,8 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "simd/dispatch.hh"
-
 namespace tdp {
 
 /**
@@ -84,34 +82,6 @@ FitResult fitOls(const std::vector<std::vector<double>> &columns,
  * copies are materialised.
  */
 FitResult fitOls(const DesignSource &source);
-
-/**
- * Fused normal-equations fit: accumulates XᵀX and Xᵀy in a single
- * pass over the (standardised) rows and solves the (k+1)x(k+1)
- * system, so peak extra memory is O(k^2) instead of the O(n*k)
- * design matrix the QR path factorises. Several times faster on long
- * traces, but the last bits of the coefficients can differ from the
- * QR path (normal equations square the condition number), so this is
- * an opt-in kernel: the default everywhere stays QR to preserve the
- * project's bit-identity invariants.
- *
- * The accumulators are lane-batched (see stats/lane_fit.hh): rows are
- * processed four at a time at the SIMD level picked by
- * activeSimdLevel(). All levels implement the same fixed 4-lane
- * algorithm, so the result is bitwise independent of the level --
- * only the wall-clock changes.
- */
-FitResult fitOlsNormal(const DesignSource &source);
-
-/** fitOlsNormal forced to a specific SIMD level (A/B harnesses). */
-FitResult fitOlsNormalAt(SimdLevel level, const DesignSource &source);
-
-/**
- * The fit used by model training: fitOlsNormal when the TDP_FAST_FIT
- * environment variable is "1" (read once), else the bit-identical
- * QR path.
- */
-FitResult fitOlsAuto(const DesignSource &source);
 
 /**
  * Fit a single-input polynomial y ~= c0 + c1 x + ... + cd x^d.

@@ -1,12 +1,12 @@
 /**
  * @file
- * Windowed recursive least squares over the fused normal-equations
+ * Windowed recursive least squares over the normal-equations
  * moments.
  *
  * The offline trainer refits from scratch: every window would cost
  * O(rows x inputs^2). The streaming service instead maintains the
- * fitOlsNormal-style fused accumulators (XᵀX, Xᵀy, and the first and
- * second raw moments) *incrementally*: each accepted sample folds
+ * normal-equations accumulators (XᵀX, Xᵀy, and the first and second
+ * raw moments) *incrementally*: each accepted sample folds
  * into the open block in O(inputs^2), and a refit merges the sealed
  * block partials and solves the (inputs x inputs) system - no pass
  * over the stored rows.

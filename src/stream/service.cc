@@ -211,8 +211,7 @@ StreamService::tick(const ExperimentPool &pool)
     // Parallel phase: each worker owns one shard end to end (ring,
     // session table, staging buffer), so the staged content is a pure
     // function of the shard's queue - identical at any --jobs. The
-    // drain pops up to kSimdLanes samples at a time so the session
-    // layer can classify a full batch through the lane kernels, and
+    // drain pops and admits one sample at a time in ring order, and
     // every Staged slot is written in place: in steady state this
     // loop performs zero heap allocations.
     pool.forEach(shards, [&](size_t s) {
@@ -220,51 +219,37 @@ StreamService::tick(const ExperimentPool &pool)
         size_t count = 0;
         SampleRing &ring = ingest_.shard(static_cast<int>(s));
         AlignedSample &aligned = alignedScratch_[s];
-        StreamSample popped[kSimdLanes];
-        SessionTable::Admit admits[kSimdLanes];
-        size_t budget = cfg_.drainBudget;
-        while (budget > 0) {
-            size_t batch = 0;
-            while (batch < kSimdLanes && batch < budget &&
-                   ring.pop(popped[batch]))
-                ++batch;
-            if (batch == 0)
-                break;
-            budget -= batch;
-            sessions_[s].admitBatch(now_, popped, batch, admits);
-            for (size_t k = 0; k < batch; ++k) {
-                const StreamSample &sample = popped[k];
-                const SessionTable::Admit &admit = admits[k];
-                Staged &entry = staged[count++];
-                entry.client = sample.client;
-                entry.seq = sample.seq;
-                entry.enqueueTick = sample.enqueueTick;
-                entry.verdict = admit.verdict;
-                entry.newlyQuarantined = admit.newlyQuarantined;
-                if (admit.verdict != Verdict::Accepted)
-                    continue;
-                // Spread the summed deltas evenly over the client's
-                // CPUs - the readCsv reconstruction semantics, exact
-                // for the summed per-CPU model forms.
-                aligned.time = sample.time;
-                aligned.interval = sample.interval;
-                const size_t n = static_cast<size_t>(sample.cpus);
-                aligned.perCpu.resize(n);
-                for (size_t c = 0; c < n; ++c) {
-                    for (int e = 0; e < numPerfEvents; ++e) {
-                        aligned.perCpu[c]
-                            .counts[static_cast<size_t>(e)] =
-                            admit.deltas
-                                .counts[static_cast<size_t>(e)] /
-                            static_cast<double>(n);
-                    }
+        StreamSample sample;
+        for (size_t budget = cfg_.drainBudget;
+             budget > 0 && ring.pop(sample); --budget) {
+            const SessionTable::Admit admit =
+                sessions_[s].admit(now_, sample);
+            Staged &entry = staged[count++];
+            entry.client = sample.client;
+            entry.seq = sample.seq;
+            entry.enqueueTick = sample.enqueueTick;
+            entry.verdict = admit.verdict;
+            entry.newlyQuarantined = admit.newlyQuarantined;
+            if (admit.verdict != Verdict::Accepted)
+                continue;
+            // Spread the summed deltas evenly over the client's CPUs -
+            // the readCsv reconstruction semantics, exact for the
+            // summed per-CPU model forms.
+            aligned.time = sample.time;
+            aligned.interval = sample.interval;
+            const size_t n = static_cast<size_t>(sample.cpus);
+            aligned.perCpu.resize(n);
+            for (size_t c = 0; c < n; ++c) {
+                for (int e = 0; e < numPerfEvents; ++e) {
+                    aligned.perCpu[c].counts[static_cast<size_t>(e)] =
+                        admit.deltas.counts[static_cast<size_t>(e)] /
+                        static_cast<double>(n);
                 }
-                aligned.osDiskInterrupts = sample.osDiskInterrupts;
-                aligned.osDeviceInterrupts =
-                    sample.osDeviceInterrupts;
-                EventVector::fromSampleInto(aligned, entry.events);
-                entry.measured = sample.measuredWatts;
             }
+            aligned.osDiskInterrupts = sample.osDiskInterrupts;
+            aligned.osDeviceInterrupts = sample.osDeviceInterrupts;
+            EventVector::fromSampleInto(aligned, entry.events);
+            entry.measured = sample.measuredWatts;
         }
         stagedCount_[s] = count;
     });

@@ -9,26 +9,6 @@
 
 #include "common/logging.hh"
 #include "stream/checkpoint.hh"
-#include "simd/lane_check.hh"
-#include "simd/lane_math.hh"
-
-namespace {
-
-/** Portable popcount for the <= 64-bit lane masks. */
-inline uint32_t
-popcount64(uint64_t mask)
-{
-#if defined(__GNUC__) || defined(__clang__)
-    return static_cast<uint32_t>(__builtin_popcountll(mask));
-#else
-    uint32_t count = 0;
-    for (; mask != 0; mask &= mask - 1)
-        ++count;
-    return count;
-#endif
-}
-
-} // namespace
 
 namespace tdp {
 namespace stream {
@@ -126,111 +106,38 @@ SessionTable::recordInvalid(uint32_t row, Admit &admit)
     }
 }
 
-void
-SessionTable::classifyHeader(const StreamSample &sample,
-                             PayloadClass &cls)
-{
-    // interval > 0 must hold and cpus is an int: these header checks
-    // stay scalar (four doubles are below the lane batch's break-even
-    // on their own; a full admit batch lanes them across samples).
-    if (!(sample.interval > 0.0) || sample.cpus < 1 ||
-        !(sample.osDiskInterrupts >= 0.0) ||
-        !(sample.osDeviceInterrupts >= 0.0))
-        cls.inRange = false;
-}
-
 SessionTable::PayloadClass
 SessionTable::classify(const StreamSample &sample) const
 {
     // Payload validation. Raw counters must be finite and inside
     // [0, 2^width) *before* the wrap recovery sees them - a remote
-    // client must never be able to crash the service. The ten raw
-    // counters go through the lane kernels (bit-identical at every
-    // dispatch level); NaN sets only the non-finite mask because the
-    // range compares are ordered, and non-finite is checked first so
-    // an Inf that also trips the range mask still reads NonFinite,
-    // exactly like the old scalar else-if.
+    // client must never be able to crash the service. admit() checks
+    // finite before in-range, so an Inf (which also fails the range
+    // compare) reads NonFinite; a NaN fails only the finite test
+    // because the range compares are ordered.
     PayloadClass cls;
-    const double header[4] = {sample.time, sample.interval,
-                              sample.osDiskInterrupts,
-                              sample.osDeviceInterrupts};
-    if (lanes::nonFiniteMask(header, 4) != 0)
+    if (!std::isfinite(sample.time) || !std::isfinite(sample.interval) ||
+        !std::isfinite(sample.osDiskInterrupts) ||
+        !std::isfinite(sample.osDeviceInterrupts))
         cls.finite = false;
-    classifyHeader(sample, cls);
-    const double span = counterSpan(config_.counterWidthBits);
-    if (lanes::nonFiniteMask(sample.raw.counts.data(),
-                             numPerfEvents) != 0)
-        cls.finite = false;
-    if (lanes::outOfRangeMask(sample.raw.counts.data(), 0.0, span,
-                              numPerfEvents) != 0)
+    if (!(sample.interval > 0.0) || sample.cpus < 1 ||
+        !(sample.osDiskInterrupts >= 0.0) ||
+        !(sample.osDeviceInterrupts >= 0.0))
         cls.inRange = false;
+    const double span = counterSpan(config_.counterWidthBits);
+    for (double raw : sample.raw.counts) {
+        if (!std::isfinite(raw))
+            cls.finite = false;
+        if (raw < 0.0 || raw >= span)
+            cls.inRange = false;
+    }
     return cls;
 }
 
 SessionTable::Admit
 SessionTable::admit(uint64_t tick, const StreamSample &sample)
 {
-    return admitClassified(tick, sample, classify(sample));
-}
-
-void
-SessionTable::admitBatch(uint64_t tick, const StreamSample *samples,
-                         size_t count, Admit *out)
-{
-    if (count != kSimdLanes) {
-        // Residue: fewer samples than lanes; the scalar-per-sample
-        // classify already lane-batches each sample's ten counters.
-        for (size_t k = 0; k < count; ++k)
-            out[k] = admit(tick, samples[k]);
-        return;
-    }
-
-    // Stage the batch into the fixed 4-lane contract: lane = sample.
-    // The payload classification is a pure function of each sample
-    // alone, so it is safe to hoist even when several lanes carry the
-    // same client; every state-dependent check (sequence, staleness,
-    // wrap recovery) runs sequentially in admitClassified below.
-    for (size_t l = 0; l < kSimdLanes; ++l) {
-        const StreamSample &s = samples[l];
-        laneHeader_[0 * kSimdLanes + l] = s.time;
-        laneHeader_[1 * kSimdLanes + l] = s.interval;
-        laneHeader_[2 * kSimdLanes + l] = s.osDiskInterrupts;
-        laneHeader_[3 * kSimdLanes + l] = s.osDeviceInterrupts;
-        for (int e = 0; e < numPerfEvents; ++e) {
-            laneRaw_[static_cast<size_t>(e) * kSimdLanes + l] =
-                s.raw.counts[static_cast<size_t>(e)];
-        }
-    }
-
-    uint64_t nonFinite = 0;
-    uint64_t outOfRange = 0;
-    for (size_t f = 0; f < 4; ++f) {
-        nonFinite |= lanes::nonFiniteMask(
-            laneHeader_.data() + f * kSimdLanes, kSimdLanes);
-    }
-    const double span = counterSpan(config_.counterWidthBits);
-    for (int e = 0; e < numPerfEvents; ++e) {
-        const double *lanesOfEvent =
-            laneRaw_.data() + static_cast<size_t>(e) * kSimdLanes;
-        nonFinite |= lanes::nonFiniteMask(lanesOfEvent, kSimdLanes);
-        outOfRange |= lanes::outOfRangeMask(lanesOfEvent, 0.0, span,
-                                            kSimdLanes);
-    }
-
-    for (size_t l = 0; l < kSimdLanes; ++l) {
-        PayloadClass cls;
-        cls.finite = ((nonFinite >> l) & 1) == 0;
-        cls.inRange = ((outOfRange >> l) & 1) == 0;
-        classifyHeader(samples[l], cls);
-        out[l] = admitClassified(tick, samples[l], cls);
-    }
-}
-
-SessionTable::Admit
-SessionTable::admitClassified(uint64_t tick,
-                              const StreamSample &sample,
-                              const PayloadClass &cls)
-{
+    const PayloadClass cls = classify(sample);
     Admit admit;
     const uint32_t row = rowOf(sample.client, tick);
 
@@ -298,17 +205,16 @@ SessionTable::admitClassified(uint64_t tick,
     }
 
     // Recover deltas, counting wraps. A wrapped read is *valid* - it
-    // is what real width-limited PMU counters do. Range validation
-    // already happened above, so the lane kernel (bit-identical to
-    // wrappedCounterDelta on in-range inputs, at every dispatch
-    // level) replaces the per-event scalar calls.
-    const double span = counterSpan(config_.counterWidthBits);
-    const uint32_t wraps = popcount64(lanes::lessThanMask(
-        sample.raw.counts.data(), raw_column, numPerfEvents));
+    // is what real width-limited PMU counters do.
+    uint32_t wraps = 0;
     CounterSnapshot deltas;
-    lanes::wrappedDeltas(deltas.counts.data(),
-                         sample.raw.counts.data(), raw_column, span,
-                         numPerfEvents);
+    for (int e = 0; e < numPerfEvents; ++e) {
+        const double cur = sample.raw.counts[static_cast<size_t>(e)];
+        if (cur < raw_column[e])
+            ++wraps;
+        deltas.counts[static_cast<size_t>(e)] = wrappedCounterDelta(
+            raw_column[e], cur, config_.counterWidthBits);
+    }
     if (deltas[PerfEvent::Cycles] <= 0.0) {
         // No cycle progress: the rate derivation would divide by
         // zero. Advance the session (the raw read itself is sound) but

@@ -32,7 +32,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "simd/dispatch.hh"
 #include "stream/flat_index.hh"
 #include "stream/sample.hh"
 
@@ -121,20 +120,6 @@ class SessionTable
     /** Validate one sample against (and update) its session. */
     Admit admit(uint64_t tick, const StreamSample &sample);
 
-    /**
-     * Validate up to kSimdLanes samples in ring order. A full batch
-     * stages the samples' raw counters into the fixed 4-lane
-     * contract (lane = sample) and classifies them through the
-     * simd/lane_check kernels; partial batches and everything rarer
-     * than the payload checks fall back to the scalar path. Verdicts,
-     * stats and session-state mutations are bit-identical to calling
-     * admit() per sample in the same order - including when several
-     * samples of the batch belong to the same client, because all
-     * state-dependent checks stay sequential.
-     */
-    void admitBatch(uint64_t tick, const StreamSample *samples,
-                    size_t count, Admit *out);
-
     /** True when the client exists and is quarantined. */
     bool isQuarantined(uint64_t client) const;
 
@@ -188,16 +173,8 @@ class SessionTable
         bool inRange = true;
     };
 
-    /** Classify one sample's payload (scalar header + lane raw). */
+    /** Classify one sample's header fields and raw counters. */
     PayloadClass classify(const StreamSample &sample) const;
-
-    /** Scalar header-field checks shared by both classify paths. */
-    static void classifyHeader(const StreamSample &sample,
-                               PayloadClass &cls);
-
-    /** admit() with the payload classification precomputed. */
-    Admit admitClassified(uint64_t tick, const StreamSample &sample,
-                          const PayloadClass &cls);
 
     /** Row index of a client, creating the row if absent. */
     uint32_t rowOf(uint64_t client, uint64_t tick);
@@ -230,14 +207,6 @@ class SessionTable
 
     /** Open-addressing client -> row map (one or two cache lines). */
     FlatClientIndex index_;
-
-    /**
-     * Lane-transposed staging of a full admit batch: laneRaw_[e *
-     * kSimdLanes + l] holds event e of batch lane l. Member scratch
-     * so the drain path never allocates.
-     */
-    std::array<double, numPerfEvents * kSimdLanes> laneRaw_{};
-    std::array<double, 4 * kSimdLanes> laneHeader_{};
 };
 
 } // namespace stream

@@ -131,7 +131,7 @@ INSTANTIATE_TEST_SUITE_P(Rates, DramRateSweep,
 
 TEST(DramBank, MatchesIndependentModulesBitwise)
 {
-    // The lane-batched bank must be indistinguishable from stepping N
+    // A DramBank must be indistinguishable from stepping N
     // standalone modules with the same shared traffic: same power
     // every quantum, same lifetime accumulators per DIMM.
     constexpr size_t kDimms = 6;
