@@ -101,12 +101,8 @@ Rng::uniformInt(int64_t lo, int64_t hi)
 }
 
 double
-Rng::gaussian()
+Rng::gaussianPair()
 {
-    if (hasSpare_) {
-        hasSpare_ = false;
-        return spare_;
-    }
     double u1, u2;
     do {
         u1 = uniform();
@@ -116,12 +112,6 @@ Rng::gaussian()
     spare_ = mag * std::sin(2.0 * M_PI * u2);
     hasSpare_ = true;
     return mag * std::cos(2.0 * M_PI * u2);
-}
-
-double
-Rng::gaussian(double mean, double sigma)
-{
-    return mean + sigma * gaussian();
 }
 
 double

@@ -53,10 +53,22 @@ class Rng
     int64_t uniformInt(int64_t lo, int64_t hi);
 
     /** Standard normal via Box-Muller with a cached spare. */
-    double gaussian();
+    double
+    gaussian()
+    {
+        if (hasSpare_) {
+            hasSpare_ = false;
+            return spare_;
+        }
+        return gaussianPair();
+    }
 
     /** Normal with the given mean and standard deviation. */
-    double gaussian(double mean, double sigma);
+    double
+    gaussian(double mean, double sigma)
+    {
+        return mean + sigma * gaussian();
+    }
 
     /** Exponential with the given rate (mean 1/rate). */
     double exponential(double rate);
@@ -72,6 +84,9 @@ class Rng
     uint64_t poisson(double mean);
 
   private:
+    /** Draw a fresh Box-Muller pair: return one, cache the other. */
+    double gaussianPair();
+
     uint64_t s_[4];
     double spare_ = 0.0;
     bool hasSpare_ = false;

@@ -85,10 +85,15 @@ CpuComplex::tickUpdate(Tick /* now */, Tick quantum)
     for (int i = 0; i < n; ++i) {
         CoreQuantumInputs &in = inputsScratch_;
         scheduler_.runnableOnCore(i, in.threads);
-        in.stallFactors.clear();
-        for (const ThreadContext *t : in.threads) {
-            in.stallFactors.push_back(
-                vm_.stallFactor(t->demand().memBoundness));
+        if (vm_.pressure() <= 0.0) {
+            // stallFactor() is exactly 1 without paging pressure.
+            in.stallFactors.assign(in.threads.size(), 1.0);
+        } else {
+            in.stallFactors.clear();
+            for (const ThreadContext *t : in.threads) {
+                in.stallFactors.push_back(
+                    vm_.stallFactor(t->demand().memBoundness));
+            }
         }
         in.busThrottle = throttle;
         in.kernelUops = kernel_uops;

@@ -38,14 +38,16 @@ CpuCore::executeQuantum(const CoreQuantumInputs &inputs, Tick quantum)
         n_threads > 2 ? 2.0 / static_cast<double>(n_threads) : 1.0;
 
     // Pass 1: effective per-thread fetch rates before the width cap.
+    // Demands are read in place: a thread's demand changes only in its
+    // commit(), which pass 2 calls after the thread's last read.
     demandScratch_.resize(n_threads);
     effScratch_.assign(n_threads, 0.0);
-    std::vector<ThreadDemand> &demands = demandScratch_;
+    std::vector<const ThreadDemand *> &demands = demandScratch_;
     std::vector<double> &eff = effScratch_;
     double total_demand = 0.0;
     for (size_t i = 0; i < n_threads; ++i) {
-        demands[i] = inputs.threads[i]->demand();
-        const ThreadDemand &d = demands[i];
+        demands[i] = &inputs.threads[i]->demand();
+        const ThreadDemand &d = *demands[i];
         double rate = d.uopsPerCycle * d.dutyCycle * time_share *
                       smt_factor * inputs.stallFactors[i];
         // Memory-bound threads lose throughput to bus congestion.
@@ -77,7 +79,7 @@ CpuCore::executeQuantum(const CoreQuantumInputs &inputs, Tick quantum)
     double presence_total = 0.0;
 
     for (size_t i = 0; i < n_threads; ++i) {
-        const ThreadDemand &d = demands[i];
+        const ThreadDemand &d = *demands[i];
         const double uops = eff[i] * cycles;
         const double misses = uops * d.l3MissPerKuop / 1000.0;
         fetched += uops;
@@ -134,8 +136,11 @@ CpuCore::executeQuantum(const CoreQuantumInputs &inputs, Tick quantum)
     const double v2 = v * v;
     const double gating =
         presence_total > 0.0 ? gating_weight / presence_total : 0.0;
+    // pow(1, y) is exactly 1; fully occupied cores skip the libm call.
+    const double active_scale =
+        active == 1.0 ? 1.0 : std::pow(active, 0.90);
     const double dynamic =
-        params_.activePower * std::pow(active, 0.90) * (1.0 - gating) +
+        params_.activePower * active_scale * (1.0 - gating) +
         params_.powerPerUopPerCycle * (uops_per_cycle + spec_uops_rate);
     Watts power = params_.haltedPower * v2 + dynamic * s * v2;
     power += rng_.gaussian(0.0, params_.powerNoiseSigma);

@@ -162,7 +162,7 @@ class CpuCore
     PerfCounters counters_;
     // Per-quantum scratch, hoisted so the hot loop reuses capacity
     // instead of reallocating every quantum.
-    std::vector<ThreadDemand> demandScratch_;
+    std::vector<const ThreadDemand *> demandScratch_;
     std::vector<double> effScratch_;
     Watts lastPower_ = 0.0;
     double lastActiveFraction_ = 0.0;

@@ -70,13 +70,10 @@ CounterSnapshot::operator+=(const CounterSnapshot &other)
 }
 
 void
-PerfCounters::increment(PerfEvent event, double amount)
+PerfCounters::negativeIncrement(PerfEvent event, double amount)
 {
-    if (amount < 0.0)
-        panic("PerfCounters: negative increment %g on %s", amount,
-              perfEventName(event));
-    current_[static_cast<size_t>(event)] += amount;
-    lifetime_[static_cast<size_t>(event)] += amount;
+    panic("PerfCounters: negative increment %g on %s", amount,
+          perfEventName(event));
 }
 
 double

@@ -86,8 +86,15 @@ struct CounterSnapshot
 class PerfCounters
 {
   public:
-    /** Add to an event count. */
-    void increment(PerfEvent event, double amount);
+    /** Add to an event count; panic()s on a negative amount. */
+    void
+    increment(PerfEvent event, double amount)
+    {
+        if (amount < 0.0)
+            negativeIncrement(event, amount);
+        current_[static_cast<size_t>(event)] += amount;
+        lifetime_[static_cast<size_t>(event)] += amount;
+    }
 
     /** Current (since last clear) count of one event. */
     double count(PerfEvent event) const;
@@ -102,6 +109,9 @@ class PerfCounters
     CounterSnapshot peek() const;
 
   private:
+    [[noreturn]] static void negativeIncrement(PerfEvent event,
+                                               double amount);
+
     std::array<double, numPerfEvents> current_{};
     std::array<double, numPerfEvents> lifetime_{};
 };

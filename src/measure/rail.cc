@@ -48,28 +48,32 @@ RailChannel::sampleAverage(Seconds dt, int conversions)
         panic("RailChannel %s: bad sampling request (%g s, %d)",
               name_.c_str(), dt, conversions);
 
+    const double tau = std::max(1e-3, params_.biasWanderTau);
+    if (dt != cachedDt_ || conversions != cachedConversions_) {
+        cachedDt_ = dt;
+        cachedConversions_ = conversions;
+        alpha_ = 1.0 - std::exp(-dt / std::max(1e-6, params_.filterTau));
+        biasStepSigma_ =
+            params_.biasWanderSigma * std::sqrt(2.0 * dt / tau);
+        // Average of `conversions` iid ADC readings: one Gaussian draw
+        // with the variance reduced accordingly (exact in
+        // distribution).
+        adcSigma_ = params_.adcNoiseSigma /
+                    std::sqrt(static_cast<double>(conversions));
+    }
+
     const Watts truth = provider_();
     if (!primed_) {
         filtered_ = truth;
         primed_ = true;
     } else {
-        const double alpha =
-            1.0 - std::exp(-dt / std::max(1e-6, params_.filterTau));
-        filtered_ += (truth - filtered_) * alpha;
+        filtered_ += (truth - filtered_) * alpha_;
     }
 
-    if (params_.biasWanderSigma > 0.0) {
-        const double tau = std::max(1e-3, params_.biasWanderTau);
-        bias_ += -bias_ * dt / tau +
-                 params_.biasWanderSigma *
-                     std::sqrt(2.0 * dt / tau) * rng_.gaussian();
-    }
+    if (params_.biasWanderSigma > 0.0)
+        bias_ += -bias_ * dt / tau + biasStepSigma_ * rng_.gaussian();
 
-    // Average of `conversions` iid ADC readings: one Gaussian draw
-    // with the variance reduced accordingly (exact in distribution).
-    const double sigma =
-        params_.adcNoiseSigma / std::sqrt(static_cast<double>(conversions));
-    double value = filtered_ + bias_ + rng_.gaussian(0.0, sigma);
+    double value = filtered_ + bias_ + rng_.gaussian(0.0, adcSigma_);
 
     if (params_.quantizationStep > 0.0) {
         value = std::round(value / params_.quantizationStep) *

@@ -92,6 +92,15 @@ class RailChannel
     Watts filtered_ = 0.0;
     double bias_ = 0.0;
     bool primed_ = false;
+
+    // Per-call invariants of sampleAverage, recomputed only when dt or
+    // the conversion count changes (every quantum has the same length,
+    // so in practice once per run).
+    Seconds cachedDt_ = 0.0;
+    int cachedConversions_ = 0;
+    double alpha_ = 0.0;
+    double biasStepSigma_ = 0.0;
+    double adcSigma_ = 0.0;
 };
 
 } // namespace tdp

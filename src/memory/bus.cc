@@ -21,11 +21,9 @@ FrontSideBus::FrontSideBus(System &system, const std::string &name,
 }
 
 void
-FrontSideBus::addTransactions(BusTxKind kind, double count)
+FrontSideBus::negativeTransactions(double count)
 {
-    if (count < 0.0)
-        panic("FrontSideBus: negative transaction count %g", count);
-    pending_[static_cast<int>(kind)] += count;
+    panic("FrontSideBus: negative transaction count %g", count);
 }
 
 double

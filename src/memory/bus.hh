@@ -58,8 +58,17 @@ class FrontSideBus : public SimObject, public Ticked
     FrontSideBus(System &system, const std::string &name,
                  const Params &params);
 
-    /** Deposit transactions of a kind for the current quantum. */
-    void addTransactions(BusTxKind kind, double count);
+    /**
+     * Deposit transactions of a kind for the current quantum;
+     * panic()s on a negative count.
+     */
+    void
+    addTransactions(BusTxKind kind, double count)
+    {
+        if (count < 0.0)
+            negativeTransactions(count);
+        pending_[static_cast<int>(kind)] += count;
+    }
 
     /**
      * Utilisation of the previous quantum in [0, ~1.2]; values above
@@ -101,6 +110,8 @@ class FrontSideBus : public SimObject, public Ticked
     void tickUpdate(Tick now, Tick quantum) override;
 
   private:
+    [[noreturn]] static void negativeTransactions(double count);
+
     Params params_;
     double pending_[numBusTxKinds] = {};
     double prev_[numBusTxKinds] = {};

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <initializer_list>
 
 #include "common/atomic_file.hh"
 #include "common/logging.hh"
@@ -121,8 +122,8 @@ SpanTracer::nowUs() const
 
 void
 SpanTracer::record(std::string_view category, std::string_view name,
-                   double start_us, double dur_us,
-                   std::string_view arg_name, double arg_value)
+                   double start_us, double dur_us, SpanArg arg,
+                   SpanArg arg2)
 {
     if (!enabled())
         return;
@@ -136,10 +137,13 @@ SpanTracer::record(std::string_view category, std::string_view name,
     slot.tid = 0; // filled at flush time from the ring's index
     copyField(slot.category, category);
     copyField(slot.name, name);
-    slot.hasArg = !arg_name.empty();
-    if (slot.hasArg) {
-        copyField(slot.argName, arg_name);
-        slot.argValue = arg_value;
+    slot.argCount = 0;
+    for (const SpanArg &a : {arg, arg2}) {
+        if (a.name.empty())
+            continue;
+        copyField(slot.argName[slot.argCount], a.name);
+        slot.argValue[slot.argCount] = a.value;
+        ++slot.argCount;
     }
 
     ring.head = (ring.head + 1) % ring.entries.size();
@@ -222,11 +226,14 @@ SpanTracer::flush()
                 json.keyValue("dur", t.event.durUs);
                 json.keyValue("pid", uint64_t(1));
                 json.keyValue("tid", uint64_t(t.tid));
-                if (t.event.hasArg) {
+                if (t.event.argCount > 0) {
                     json.key("args");
                     json.beginObject();
-                    json.keyValue(std::string_view(t.event.argName),
-                                  t.event.argValue);
+                    for (int a = 0; a < t.event.argCount; ++a) {
+                        json.keyValue(
+                            std::string_view(t.event.argName[a]),
+                            t.event.argValue[a]);
+                    }
                     json.endObject();
                 }
                 json.endObject();

@@ -3,7 +3,7 @@
  * Low-overhead span tracer emitting Chrome trace-event JSON.
  *
  * Instrumented code opens RAII TraceSpans around interesting phases
- * (experiment-pool tasks, workload runs, event dispatch batches,
+ * (experiment-pool tasks, workload runs, simulated quantum batches,
  * trainer fits, aligner drains, cache lookups). Each completed span
  * is a fixed-size POD pushed into the recording thread's ring buffer;
  * flush() merges the rings, sorts by start time and writes one
@@ -38,6 +38,16 @@
 namespace tdp {
 namespace obs {
 
+/** Maximum numeric arguments carried by one span. */
+constexpr int maxSpanArgs = 2;
+
+/** One numeric span argument shown in the viewer. */
+struct SpanArg
+{
+    std::string_view name;
+    double value = 0.0;
+};
+
 /** One completed span, sized for cheap ring writes. */
 struct SpanEvent
 {
@@ -50,8 +60,8 @@ struct SpanEvent
     /** Recording thread's stable display id. */
     uint32_t tid = 0;
 
-    /** True when arg fields carry a value. */
-    bool hasArg = false;
+    /** Leading arg fields that carry a value (0..maxSpanArgs). */
+    uint8_t argCount = 0;
 
     /** Category shown in the viewer ("exp", "sim", "cache", ...). */
     char category[16] = {};
@@ -59,9 +69,9 @@ struct SpanEvent
     /** Span name ("task:3", "run:gcc", ...). */
     char name[48] = {};
 
-    /** Optional numeric argument. @{ */
-    char argName[16] = {};
-    double argValue = 0.0;
+    /** Optional numeric arguments. @{ */
+    char argName[maxSpanArgs][16] = {};
+    double argValue[maxSpanArgs] = {};
     /** @} */
 };
 
@@ -114,11 +124,12 @@ class SpanTracer
 
     /**
      * Record one completed span (used by TraceSpan; callable directly
-     * for spans timed externally). No-op when disabled.
+     * for spans timed externally). Args with an empty name are
+     * omitted. No-op when disabled.
      */
     void record(std::string_view category, std::string_view name,
-                double start_us, double dur_us,
-                std::string_view arg_name = {}, double arg_value = 0.0);
+                double start_us, double dur_us, SpanArg arg = {},
+                SpanArg arg2 = {});
 
     /** Microseconds since the tracer's clock origin. */
     double nowUs() const;
@@ -201,8 +212,8 @@ class TraceSpan
         if (!tracer_)
             return;
         tracer_->record(category_, name_, startUs_,
-                        tracer_->nowUs() - startUs_, argName_,
-                        argValue_);
+                        tracer_->nowUs() - startUs_,
+                        {argName_, argValue_});
     }
 
     TraceSpan(const TraceSpan &) = delete;

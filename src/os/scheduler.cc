@@ -16,6 +16,7 @@ Scheduler::Scheduler(System &system, const std::string &name,
 {
     if (core_count <= 0 || smt_per_core <= 0)
         fatal("Scheduler: core/SMT counts must be positive");
+    coreThreads_.resize(static_cast<size_t>(core_count));
 }
 
 void
@@ -29,7 +30,7 @@ Scheduler::attach(ThreadContext *thread)
     // Fill distinct physical cores before doubling up on SMT slots.
     const int index = static_cast<int>(threads_.size());
     threads_.push_back(thread);
-    assignedCore_.push_back(index % coreCount_);
+    coreThreads_[static_cast<size_t>(index % coreCount_)].push_back(thread);
 }
 
 void
@@ -52,14 +53,12 @@ Scheduler::launchAt(ThreadContext *thread, Seconds when)
         });
 }
 
-std::vector<ThreadContext *>
+const std::vector<ThreadContext *> &
 Scheduler::threadsOnCore(int core) const
 {
-    std::vector<ThreadContext *> out;
-    for (size_t i = 0; i < threads_.size(); ++i)
-        if (assignedCore_[i] == core)
-            out.push_back(threads_[i]);
-    return out;
+    if (core < 0 || core >= coreCount_)
+        panic("Scheduler: core %d out of %d", core, coreCount_);
+    return coreThreads_[static_cast<size_t>(core)];
 }
 
 std::vector<ThreadContext *>
@@ -75,12 +74,9 @@ Scheduler::runnableOnCore(int core,
                           std::vector<ThreadContext *> &out) const
 {
     out.clear();
-    for (size_t i = 0; i < threads_.size(); ++i) {
-        if (assignedCore_[i] == core &&
-            threads_[i]->state() == ThreadState::Runnable) {
-            out.push_back(threads_[i]);
-        }
-    }
+    for (ThreadContext *t : threadsOnCore(core))
+        if (t->state() == ThreadState::Runnable)
+            out.push_back(t);
 }
 
 bool

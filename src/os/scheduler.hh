@@ -49,10 +49,10 @@ class Scheduler : public SimObject
      */
     void launchAt(ThreadContext *thread, Seconds when);
 
-    /** All threads assigned to a core (any state). */
-    std::vector<ThreadContext *> threadsOnCore(int core) const;
+    /** All threads assigned to a core (any state), in attach order. */
+    const std::vector<ThreadContext *> &threadsOnCore(int core) const;
 
-    /** Runnable threads on a core this instant. */
+    /** Runnable threads on a core this instant, in attach order. */
     std::vector<ThreadContext *> runnableOnCore(int core) const;
 
     /**
@@ -85,7 +85,8 @@ class Scheduler : public SimObject
     int coreCount_;
     int smtPerCore_;
     std::vector<ThreadContext *> threads_;
-    std::vector<int> assignedCore_;
+    // Threads assigned to each core, in attach order.
+    std::vector<std::vector<ThreadContext *>> coreThreads_;
 };
 
 } // namespace tdp

@@ -104,8 +104,11 @@ class ThreadContext
     /** Current lifecycle state. */
     virtual ThreadState state() const = 0;
 
-    /** Demand vector of the current phase. */
-    virtual ThreadDemand demand() const = 0;
+    /**
+     * Demand vector of the current phase. Only commit() changes it,
+     * so a caller must finish reading it before committing.
+     */
+    virtual const ThreadDemand &demand() const = 0;
 
     /**
      * Account committed execution and let the thread progress: advance

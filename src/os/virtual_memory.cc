@@ -27,8 +27,9 @@ VirtualMemory::update(const std::vector<ThreadContext *> &threads,
 {
     double resident_mb = 0.0;
     for (const ThreadContext *t : threads) {
-        if (t->state() == ThreadState::Runnable ||
-            t->state() == ThreadState::Blocked) {
+        const ThreadState state = t->state();
+        if (state == ThreadState::Runnable ||
+            state == ThreadState::Blocked) {
             resident_mb += t->footprintMB();
         }
     }

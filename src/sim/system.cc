@@ -16,7 +16,7 @@ namespace tdp {
 namespace {
 
 /**
- * Quanta per event-dispatch span. One span per quantum would swamp
+ * Quanta per `sim/quantum_batch` span. One span per quantum would swamp
  * the trace (a 180 s run is 180k quanta); one per 1000 quanta is one
  * span per simulated second at the default 1 ms quantum.
  */
@@ -110,15 +110,23 @@ System::runUntil(Tick until_tick)
 {
     ensureStarted();
 
-    // Event-dispatch batch spans: one per spanBatchQuanta quanta,
-    // carrying the events processed in the batch. The per-quantum
-    // cost with tracing off is the single enabled() check hoisted
-    // out of the loop.
+    // Quantum-batch spans: one per spanBatchQuanta quanta, timing the
+    // quanta and the events fired between them, with both counts as
+    // args. The per-quantum cost with tracing off is the single
+    // enabled() check hoisted out of the loop.
     obs::SpanTracer &tracer = obs::SpanTracer::global();
     const bool tracing = tracer.enabled();
     double batch_start_us = tracing ? tracer.nowUs() : 0.0;
     uint64_t batch_quanta = 0;
     uint64_t batch_events = events_.processedCount();
+    const auto record_batch = [&](double now_us) {
+        tracer.record(
+            "sim", "quantum_batch", batch_start_us,
+            now_us - batch_start_us,
+            {"quanta", static_cast<double>(batch_quanta)},
+            {"events", static_cast<double>(events_.processedCount() -
+                                           batch_events)});
+    };
 
     while (nextQuantumStart_ + quantum_ <= until_tick) {
         const Tick start = nextQuantumStart_;
@@ -130,23 +138,15 @@ System::runUntil(Tick until_tick)
         nextQuantumStart_ = start + quantum_;
         if (tracing && ++batch_quanta == spanBatchQuanta) {
             const double now_us = tracer.nowUs();
-            tracer.record("sim", "dispatch", batch_start_us,
-                          now_us - batch_start_us, "events",
-                          static_cast<double>(
-                              events_.processedCount() -
-                              batch_events));
+            record_batch(now_us);
             batch_start_us = now_us;
             batch_quanta = 0;
             batch_events = events_.processedCount();
         }
     }
     events_.runUntil(until_tick);
-    if (tracing && batch_quanta > 0) {
-        tracer.record("sim", "dispatch", batch_start_us,
-                      tracer.nowUs() - batch_start_us, "events",
-                      static_cast<double>(events_.processedCount() -
-                                          batch_events));
-    }
+    if (tracing && batch_quanta > 0)
+        record_batch(tracer.nowUs());
 }
 
 void

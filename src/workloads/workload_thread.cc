@@ -119,9 +119,13 @@ WorkloadThread::commit(double uops, Seconds dt)
     // Slow multiplicative wander (Ornstein-Uhlenbeck around 1.0)
     // models input-dependent variability within a phase.
     const double tau = std::max(0.5, profile_.demandWanderTau);
-    const double sigma = profile_.demandWanderSigma;
+    if (dt != wanderDt_) {
+        wanderDt_ = dt;
+        wanderStepSigma_ =
+            profile_.demandWanderSigma * std::sqrt(2.0 * dt / tau);
+    }
     wander_ += (1.0 - wander_) * dt / tau +
-               sigma * std::sqrt(2.0 * dt / tau) * rng_.gaussian();
+               wanderStepSigma_ * rng_.gaussian();
     wander_ = std::clamp(wander_, 0.75, 1.25);
 
     issueIo(dt);
@@ -140,9 +144,11 @@ WorkloadThread::commit(double uops, Seconds dt)
         phaseElapsed_ = leftover;
     }
 
-    current_ = phase().demand;
-    current_.uopsPerCycle *= wander_;
-    current_.l3MissPerKuop *= wander_;
+    // Only the two wandered rates differ from the phase's demand;
+    // enterPhase() copied the rest.
+    const ThreadDemand &base = phase().demand;
+    current_.uopsPerCycle = base.uopsPerCycle * wander_;
+    current_.l3MissPerKuop = base.l3MissPerKuop * wander_;
 }
 
 } // namespace tdp

@@ -35,7 +35,7 @@ class WorkloadThread : public ThreadContext
 
     const std::string &threadName() const override { return name_; }
     ThreadState state() const override { return state_; }
-    ThreadDemand demand() const override { return current_; }
+    const ThreadDemand &demand() const override { return current_; }
     void commit(double uops, Seconds dt) override;
     double footprintMB() const override { return profile_.footprintMB; }
     void start() override;
@@ -69,6 +69,9 @@ class WorkloadThread : public ThreadContext
     double dirtyOutstanding_ = 0.0;
     double pendingReadBytes_ = 0.0;
     double wander_ = 1.0;
+    // demandWanderSigma * sqrt(2 dt / tau) for the last dt seen.
+    Seconds wanderDt_ = 0.0;
+    double wanderStepSigma_ = 0.0;
     ThreadDemand current_;
     double lifetimeUops_ = 0.0;
     int syncCount_ = 0;

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "cpu/cpu_core.hh"
@@ -86,6 +88,35 @@ TEST(CpuCore, PowerFollowsEquationOneShape)
         core.executeQuantum(inputsFor({&t}), ticksPerMs);
     // 9.25 + 26.45 (active) + 4.31 * 1 uops/cycle.
     EXPECT_NEAR(out.power, 9.25 + 26.45 + 4.31, 0.3);
+}
+
+TEST(CpuCore, PowerEqualsPowExpressionWhenFullyAndPartlyAwake)
+{
+    // A fully occupied core (active == 1) skips the pow() call; a
+    // half-occupied one takes it. Both must equal the full expression.
+    for (const double duty : {1.0, 0.5}) {
+        CpuCore core = makeCore();
+        ThreadDemand d = busyDemand(1.0);
+        d.dutyCycle = duty;
+        StubThread t("t", d);
+        t.start();
+        const CoreQuantumOutputs out =
+            core.executeQuantum(inputsFor({&t}), ticksPerMs);
+
+        const CpuCore::Params p;
+        const double active = core.lastActiveFraction();
+        EXPECT_EQ(active, duty);
+        const double s = core.clock().scale();
+        const double v = 0.75 + 0.25 * s;
+        const double v2 = v * v;
+        // busyDemand() has no clock gating and no speculation, so the
+        // gating and speculative terms are 0.
+        const double dynamic =
+            p.activePower * std::pow(active, 0.90) * (1.0 - 0.0) +
+            p.powerPerUopPerCycle * (core.lastUopsPerCycle() + 0.0);
+        const double expected = p.haltedPower * v2 + dynamic * s * v2;
+        EXPECT_EQ(out.power, expected) << "duty " << duty;
+    }
 }
 
 TEST(CpuCore, FetchWidthCapsTwoThreads)

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <utility>
+#include <vector>
+
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "common/running_stats.hh"
@@ -82,6 +87,96 @@ TEST(RailChannel, BiasWanderIsBoundedInDistribution)
     EXPECT_NEAR(s.mean(), 25.0, 0.05);
     // OU stationary sigma is the configured wander sigma.
     EXPECT_NEAR(s.stddev(), 0.1, 0.05);
+}
+
+/**
+ * The sensing chain written out with every per-call term evaluated
+ * inline, as the formulas read: the reference the channel's cached
+ * invariants must reproduce bit for bit.
+ */
+class InlineChain
+{
+  public:
+    InlineChain(const RailChannel::Params &p, Rng rng)
+        : p_(p), rng_(rng)
+    {
+    }
+
+    double
+    sample(double truth, double dt, int conversions)
+    {
+        if (!primed_) {
+            filtered_ = truth;
+            primed_ = true;
+        } else {
+            const double alpha =
+                1.0 - std::exp(-dt / std::max(1e-6, p_.filterTau));
+            filtered_ += (truth - filtered_) * alpha;
+        }
+        if (p_.biasWanderSigma > 0.0) {
+            const double tau = std::max(1e-3, p_.biasWanderTau);
+            bias_ += -bias_ * dt / tau +
+                     p_.biasWanderSigma * std::sqrt(2.0 * dt / tau) *
+                         rng_.gaussian();
+        }
+        const double sigma =
+            p_.adcNoiseSigma / std::sqrt(static_cast<double>(conversions));
+        double value = filtered_ + bias_ + rng_.gaussian(0.0, sigma);
+        if (p_.quantizationStep > 0.0) {
+            value = std::round(value / p_.quantizationStep) *
+                    p_.quantizationStep;
+        }
+        return value;
+    }
+
+  private:
+    RailChannel::Params p_;
+    Rng rng_;
+    double filtered_ = 0.0;
+    double bias_ = 0.0;
+    bool primed_ = false;
+};
+
+/**
+ * Drive a channel and its inline reference through dt and conversion
+ * switches and require bit-identical readings.
+ */
+void
+expectMatchesInlineChain(const RailChannel::Params &p, double truth_base)
+{
+    // dt 1 ms -> 0.5 ms -> 1 ms, then the conversion count changes
+    // at a fixed dt: every switch must refresh the cached terms.
+    const std::vector<std::pair<double, int>> segments = {
+        {1e-3, 10}, {5e-4, 5}, {1e-3, 10}, {1e-3, 3}, {1e-3, 10}};
+
+    double truth = truth_base;
+    RailChannel rail("r", [&] { return truth; }, p, Rng(11));
+    InlineChain ref(p, Rng(11));
+    for (const auto &[dt, conversions] : segments) {
+        for (int i = 0; i < 200; ++i) {
+            truth = truth_base * (1.0 + 0.001 * (i % 37));
+            const double got = rail.sampleAverage(dt, conversions);
+            const double want = ref.sample(truth, dt, conversions);
+            ASSERT_EQ(got, want) << "dt " << dt << " conversions "
+                                 << conversions << " step " << i;
+        }
+    }
+}
+
+TEST(RailChannel, CachedTermsMatchInlineFormulasBitForBit)
+{
+    RailChannel::Params p;
+    p.biasWanderSigma = 0.3;
+    // Unquantised so no rounding can hide a last-bit difference.
+    p.quantizationStep = 0.0;
+    expectMatchesInlineChain(p, 40.0);
+
+    // Bias alone: zero truth and no ADC noise make the reading the
+    // bias itself, and a short tau makes the decay term as large as
+    // the bias, so the decay's last bit reaches the reading.
+    p.adcNoiseSigma = 0.0;
+    p.biasWanderTau = 3e-3;
+    expectMatchesInlineChain(p, 0.0);
 }
 
 TEST(RailChannel, NullProviderFatal)

@@ -157,8 +157,9 @@ TEST(HdrHistogram, BucketIndexRoundTripsEveryMagnitude)
             const size_t index = hist.indexOf(v);
             ASSERT_LT(index, hist.bucketCount());
             EXPECT_GE(hist.bucketHigh(index), v);
-            if (index > 0)
+            if (index > 0) {
                 EXPECT_LT(hist.bucketHigh(index - 1), v);
+            }
         }
     }
 }

@@ -64,7 +64,8 @@ TEST(SpanTracer, FlushWritesLoadableTraceJson)
     tracer.setOutput(path);
     ASSERT_TRUE(tracer.enabled());
 
-    tracer.record("sim", "dispatch", 10.0, 5.0, "events", 42.0);
+    tracer.record("sim", "quantum_batch", 10.0, 5.0, {"quanta", 1000.0},
+                  {"events", 42.0});
     tracer.record("exp", "task:0", 0.0, 20.0);
     tracer.record("cache", "lookup", 30.0, 1.5);
     EXPECT_EQ(tracer.stats().recorded, 3u);
@@ -73,10 +74,11 @@ TEST(SpanTracer, FlushWritesLoadableTraceJson)
     const std::string json = slurp(path);
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-    EXPECT_NE(json.find("\"dispatch\""), std::string::npos);
-    EXPECT_NE(json.find("\"events\":42"), std::string::npos);
+    EXPECT_NE(json.find("\"quantum_batch\""), std::string::npos);
+    EXPECT_NE(json.find("\"args\":{\"quanta\":1000,\"events\":42}"),
+              std::string::npos);
     // Events are sorted by start time: task:0 first.
-    EXPECT_LT(json.find("task:0"), json.find("dispatch"));
+    EXPECT_LT(json.find("task:0"), json.find("quantum_batch"));
 
     // Flushing clears the buffers but keeps recording on.
     EXPECT_EQ(tracer.stats().buffered, 0u);

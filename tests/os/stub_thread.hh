@@ -25,7 +25,7 @@ class StubThread : public ThreadContext
 
     const std::string &threadName() const override { return name_; }
     ThreadState state() const override { return state_; }
-    ThreadDemand demand() const override { return demand_; }
+    const ThreadDemand &demand() const override { return demand_; }
 
     void
     commit(double uops, Seconds dt) override

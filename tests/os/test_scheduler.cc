@@ -40,6 +40,31 @@ TEST(Scheduler, RunnableFiltersByState)
     EXPECT_EQ(sched.runnableOnCore(1).size(), 1u);
 }
 
+TEST(Scheduler, CoreListsKeepAttachOrderAndSkipNonRunnable)
+{
+    System sys(1);
+    Scheduler sched(sys, "sched", 2, 2);
+    StubThread t0("t0"), t1("t1"), t2("t2"), t3("t3"), t4("t4");
+    for (StubThread *t : {&t0, &t1, &t2, &t3, &t4})
+        sched.launch(t);
+    using List = std::vector<ThreadContext *>;
+    EXPECT_EQ(sched.threadsOnCore(0), (List{&t0, &t2, &t4}));
+    EXPECT_EQ(sched.threadsOnCore(1), (List{&t1, &t3}));
+    EXPECT_EQ(sched.runnableOnCore(0), (List{&t0, &t2, &t4}));
+
+    t2.setState(ThreadState::Blocked);
+    t3.setState(ThreadState::Finished);
+    EXPECT_EQ(sched.runnableOnCore(0), (List{&t0, &t4}));
+    EXPECT_EQ(sched.runnableOnCore(1), (List{&t1}));
+    // The buffer overload clears what it is given.
+    List reused = {&t3, &t3};
+    sched.runnableOnCore(1, reused);
+    EXPECT_EQ(reused, (List{&t1}));
+    // Every thread stays on its core in any state.
+    EXPECT_EQ(sched.threadsOnCore(0), (List{&t0, &t2, &t4}));
+    EXPECT_THROW(sched.threadsOnCore(2), PanicError);
+}
+
 TEST(Scheduler, LaunchAtFiresOnSchedule)
 {
     System sys(1);

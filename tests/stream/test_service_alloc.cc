@@ -125,8 +125,9 @@ expectSteadyStateAllocationFree(bool telemetry,
     EXPECT_EQ(allocations, 0u)
         << allocations
         << " allocation(s) on the steady-state drain path";
-    if (checkpointer)
+    if (checkpointer) {
         EXPECT_GT(checkpointer->written(), 0u);
+    }
 
     // Sanity: the measured section really drained accepted samples.
     EXPECT_EQ(service.sessionStats().accepted,
