@@ -38,23 +38,35 @@ constexpr std::array<RateField, 12> rateFields{{
      &CpuEventRates::deviceInterruptsPerCycle},
 }};
 
-/** Comma-joined names of the non-finite rate fields of a sample. */
+/** Bit f set when rate field f is non-finite on any CPU. */
+uint32_t
+nonFiniteMask(const EventVector &events)
+{
+    uint32_t mask = 0;
+    for (size_t f = 0; f < rateFields.size(); ++f)
+        for (const CpuEventRates &rates : events.cpu)
+            if (!std::isfinite(rates.*rateFields[f].field))
+                mask |= 1u << f;
+    return mask;
+}
+
+/** Comma-joined names of the rate fields set in @p mask. */
 std::string
-nonFiniteRates(const EventVector &events)
+rateNames(uint32_t mask)
 {
     std::string names;
-    for (const RateField &rf : rateFields) {
-        bool bad = false;
-        for (const CpuEventRates &rates : events.cpu)
-            bad = bad || !std::isfinite(rates.*rf.field);
-        if (bad) {
-            if (!names.empty())
-                names += ", ";
-            names += rf.name;
-        }
+    for (size_t f = 0; f < rateFields.size(); ++f) {
+        if (!(mask & (1u << f)))
+            continue;
+        if (!names.empty())
+            names += ", ";
+        names += rateFields[f].name;
     }
     return names;
 }
+
+/** The rung name a chain's last rung degrades to. */
+const std::string noRung = "(none)";
 
 /** Upper bound on distinct degradation reasons kept per rail. */
 constexpr size_t maxReasons = 8;
@@ -132,7 +144,10 @@ SystemPowerEstimator::setModel(std::unique_ptr<SubsystemModel> model)
 {
     if (!model)
         fatal("SystemPowerEstimator: null model");
-    models_[static_cast<size_t>(model->rail())] = std::move(model);
+    const size_t idx = static_cast<size_t>(model->rail());
+    models_[idx] = std::move(model);
+    // A reason key names a rung by position; the chain just changed.
+    health_[idx].reasonKeys.clear();
 }
 
 void
@@ -147,6 +162,7 @@ SystemPowerEstimator::addFallback(std::unique_ptr<SubsystemModel> model)
               "addFallback()",
               model->name().c_str(), railName(model->rail()));
     fallbacks_[idx].push_back(std::move(model));
+    health_[idx].reasonKeys.clear();
 }
 
 namespace {
@@ -249,17 +265,24 @@ SystemPowerEstimator::trainRail(Rail rail, const SampleTrace &trace)
 }
 
 void
-SystemPowerEstimator::recordReason(RailHealthState &state,
+SystemPowerEstimator::recordReason(RailHealthState &state, size_t rung,
                                    const EventVector &events,
                                    const std::string &from,
                                    const std::string &to) const
 {
     if (state.reasons.size() >= maxReasons)
         return;
+    // The reason text is a function of the rung and of which rate
+    // fields are non-finite, so a key already seen needs no text.
+    const uint32_t mask = nonFiniteMask(events);
+    const uint64_t key = static_cast<uint64_t>(rung) << 32 | mask;
+    if (std::find(state.reasonKeys.begin(), state.reasonKeys.end(),
+                  key) != state.reasonKeys.end())
+        return;
+    state.reasonKeys.push_back(key);
     std::string reason = from + " -> " + to;
-    const std::string bad = nonFiniteRates(events);
-    reason += bad.empty() ? std::string(": untrained")
-                          : ": non-finite rates (" + bad + ")";
+    reason += mask == 0 ? std::string(": untrained")
+                        : ": non-finite rates (" + rateNames(mask) + ")";
     if (std::find(state.reasons.begin(), state.reasons.end(), reason) ==
         state.reasons.end())
         state.reasons.push_back(reason);
@@ -291,7 +314,7 @@ SystemPowerEstimator::estimateRail(const EventVector &events,
             ++state.rungUses[0];
         } else {
             ++state.unestimable;
-            recordReason(state, events, primary->name(), "(none)");
+            recordReason(state, 0, events, primary->name(), noRung);
         }
         return w;
     }
@@ -299,15 +322,15 @@ SystemPowerEstimator::estimateRail(const EventVector &events,
     for (size_t r = 0; r < chain.size() + 1; ++r) {
         const SubsystemModel &m =
             r == 0 ? *primary : *chain[r - 1];
-        const std::string next =
-            r < chain.size() ? chain[r]->name() : "(none)";
+        const std::string &next =
+            r < chain.size() ? chain[r]->name() : noRung;
         if (!m.trained()) {
-            recordReason(state, events, m.name(), next);
+            recordReason(state, r, events, m.name(), next);
             continue;
         }
         const Watts w = m.estimate(events);
         if (!std::isfinite(w)) {
-            recordReason(state, events, m.name(), next);
+            recordReason(state, r, events, m.name(), next);
             continue;
         }
         ++state.rungUses[r];
@@ -330,13 +353,33 @@ SystemPowerEstimator::estimate(const EventVector &events) const
     return out;
 }
 
+namespace {
+
+/**
+ * The estimator's one per-sample loop: call fn with each sample's
+ * event vector, in trace order, reusing one vector's storage.
+ */
+template <typename Fn>
+void
+forEachSample(const SampleTrace &trace, Fn &&fn)
+{
+    EventVector events;
+    for (const AlignedSample &sample : trace.samples()) {
+        EventVector::fromSampleInto(sample, events);
+        fn(events);
+    }
+}
+
+} // namespace
+
 std::vector<PowerBreakdown>
 SystemPowerEstimator::estimateTrace(const SampleTrace &trace) const
 {
     std::vector<PowerBreakdown> out;
     out.reserve(trace.size());
-    for (const AlignedSample &sample : trace.samples())
-        out.push_back(estimate(EventVector::fromSample(sample)));
+    forEachSample(trace, [&](const EventVector &events) {
+        out.push_back(estimate(events));
+    });
     return out;
 }
 
@@ -346,9 +389,9 @@ SystemPowerEstimator::modeledColumn(const SampleTrace &trace,
 {
     std::vector<double> out;
     out.reserve(trace.size());
-    for (const AlignedSample &sample : trace.samples())
-        out.push_back(
-            estimateRail(EventVector::fromSample(sample), rail));
+    forEachSample(trace, [&](const EventVector &events) {
+        out.push_back(estimateRail(events, rail));
+    });
     return out;
 }
 

@@ -158,7 +158,11 @@ class SystemPowerEstimator
     /** Estimate all subsystems for one sample. */
     PowerBreakdown estimate(const EventVector &events) const;
 
-    /** Estimate across a whole trace. */
+    /**
+     * Estimate across a whole trace, deriving each sample's event
+     * vector once. Health is kept per rail, so each rail's report
+     * equals what modeledColumn() records for that rail alone.
+     */
     std::vector<PowerBreakdown> estimateTrace(
         const SampleTrace &trace) const;
 
@@ -184,9 +188,11 @@ class SystemPowerEstimator
         uint64_t unestimable = 0;
         std::vector<uint64_t> rungUses;
         std::vector<std::string> reasons;
+        /** (rung, non-finite-field mask) keys already recorded. */
+        std::vector<uint64_t> reasonKeys;
     };
 
-    void recordReason(RailHealthState &state,
+    void recordReason(RailHealthState &state, size_t rung,
                       const EventVector &events,
                       const std::string &from,
                       const std::string &to) const;

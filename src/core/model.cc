@@ -43,12 +43,12 @@ class TraceDesignSource : public DesignSource
     void
     row(size_t i, double *out) const override
     {
-        const EventVector ev = EventVector::fromSample(trace_[i]);
+        EventVector::fromSampleInto(trace_[i], scratch_);
         size_t o = 0;
         for (double CpuEventRates::*field : fields_) {
-            out[o++] = ev.total(field);
+            out[o++] = scratch_.total(field);
             if (withSquares_)
-                out[o++] = ev.totalSquared(field);
+                out[o++] = scratch_.totalSquared(field);
         }
     }
 
@@ -63,6 +63,8 @@ class TraceDesignSource : public DesignSource
     Rail rail_;
     const std::vector<double CpuEventRates::*> &fields_;
     bool withSquares_;
+    /** Reused by row() so a streamed fit allocates once per source. */
+    mutable EventVector scratch_;
 };
 
 /**

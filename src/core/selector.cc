@@ -37,6 +37,20 @@ const MetricDef metricDefs[] = {
      &CpuEventRates::deviceInterruptsPerCycle},
 };
 
+/** One rate's across-CPU total per sample of a trace. */
+std::vector<double>
+totalColumn(const SampleTrace &trace, double CpuEventRates::*field)
+{
+    std::vector<double> out;
+    out.reserve(trace.size());
+    EventVector events;
+    for (const AlignedSample &s : trace.samples()) {
+        EventVector::fromSampleInto(s, events);
+        out.push_back(events.total(field));
+    }
+    return out;
+}
+
 } // namespace
 
 std::vector<std::string>
@@ -53,14 +67,8 @@ EventSelector::metricColumn(const SampleTrace &trace,
                             const std::string &metric)
 {
     for (const MetricDef &def : metricDefs) {
-        if (metric == def.name) {
-            std::vector<double> out;
-            out.reserve(trace.size());
-            for (const AlignedSample &s : trace.samples())
-                out.push_back(
-                    EventVector::fromSample(s).total(def.field));
-            return out;
-        }
+        if (metric == def.name)
+            return totalColumn(trace, def.field);
     }
     fatal("EventSelector: unknown metric '%s'", metric.c_str());
 }
@@ -74,14 +82,9 @@ EventSelector::rank(const SampleTrace &trace, Rail rail)
     const std::vector<double> &power = trace.measuredColumn(rail);
 
     std::vector<EventCorrelation> out;
-    for (const MetricDef &def : metricDefs) {
-        std::vector<double> column;
-        column.reserve(trace.size());
-        for (const AlignedSample &s : trace.samples())
-            column.push_back(EventVector::fromSample(s).total(def.field));
-        out.push_back(
-            EventCorrelation{def.name, pearson(column, power)});
-    }
+    for (const MetricDef &def : metricDefs)
+        out.push_back(EventCorrelation{
+            def.name, pearson(totalColumn(trace, def.field), power)});
     std::stable_sort(out.begin(), out.end(),
                      [](const EventCorrelation &a,
                         const EventCorrelation &b) {

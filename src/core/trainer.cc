@@ -92,6 +92,7 @@ ModelTrainer::cleanTrace(const SampleTrace &trace, Rail rail,
                          TrainingReport::RailCleaning &counts) const
 {
     SampleTrace clean;
+    clean.reserve(trace.size());
     for (const AlignedSample &sample : trace.samples()) {
         const double w = sample.measured(rail);
         if (!std::isfinite(w)) {

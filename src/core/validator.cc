@@ -26,10 +26,13 @@ Validator::validate(const std::string &workload,
 
     ValidationResult result;
     result.workload = workload;
+    const std::vector<PowerBreakdown> estimates =
+        estimator_.estimateTrace(trace);
+    std::vector<double> modeled(estimates.size());
     for (int r = 0; r < numRails; ++r) {
         const Rail rail = static_cast<Rail>(r);
-        const std::vector<double> modeled =
-            estimator_.modeledColumn(trace, rail);
+        for (size_t i = 0; i < estimates.size(); ++i)
+            modeled[i] = estimates[i].rail(rail);
         const std::vector<double> &measured =
             trace.measuredColumn(rail);
         double err;

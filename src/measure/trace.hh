@@ -74,6 +74,9 @@ class SampleTrace
         columnsValid_ = false;
     }
 
+    /** Reserve storage for @p count samples. */
+    void reserve(size_t count) { samples_.reserve(count); }
+
     /** The samples, in time order. */
     const std::vector<AlignedSample> &samples() const { return samples_; }
 

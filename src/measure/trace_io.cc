@@ -5,6 +5,7 @@
 
 #include "measure/trace_io.hh"
 
+#include <bit>
 #include <cstring>
 #include <istream>
 #include <ostream>
@@ -16,6 +17,9 @@ namespace tdp {
 namespace {
 
 constexpr char traceMagic[4] = {'T', 'D', 'P', 'T'};
+
+/** Bytes of a sample with no CPUs: ten doubles and the cpuCount word. */
+constexpr uint64_t minSampleBytes = 8 * (5 + numRails) + 4;
 
 /** Append an integer LSB-first. */
 template <typename T>
@@ -62,10 +66,14 @@ class ByteReader
             return T{};
         }
         T value{};
-        for (size_t i = 0; i < sizeof(T); ++i) {
-            value |= static_cast<T>(
-                         static_cast<unsigned char>(bytes_[pos_ + i]))
-                     << (8 * i);
+        if constexpr (std::endian::native == std::endian::little) {
+            std::memcpy(&value, bytes_.data() + pos_, sizeof(T));
+        } else {
+            for (size_t i = 0; i < sizeof(T); ++i) {
+                value |= static_cast<T>(static_cast<unsigned char>(
+                             bytes_[pos_ + i]))
+                         << (8 * i);
+            }
         }
         pos_ += sizeof(T);
         return value;
@@ -78,6 +86,26 @@ class ByteReader
         double value;
         std::memcpy(&value, &bits, sizeof(value));
         return value;
+    }
+
+    /** Read @p count consecutive doubles into @p out. */
+    void
+    readDoubles(double *out, size_t count)
+    {
+        if constexpr (std::endian::native == std::endian::little) {
+            if (remaining() < count * sizeof(double)) {
+                // Exhaust the cursor so later reads fail too, as they
+                // would after a field-by-field read ran out.
+                ok_ = false;
+                pos_ = bytes_.size();
+                return;
+            }
+            std::memcpy(out, bytes_.data() + pos_, count * sizeof(double));
+            pos_ += count * sizeof(double);
+        } else {
+            for (size_t i = 0; i < count; ++i)
+                out[i] = readDouble();
+        }
     }
 
   private:
@@ -189,6 +217,17 @@ tryReadTraceBinary(std::istream &is, SampleTrace &out,
     // minimum of one cpuCount word bounds it instead.
     if (payload_bytes > (1ull << 32))
         return fail(error, "payload length implausibly large");
+    // Every sample takes at least minSampleBytes, so a corrupt count
+    // cannot drive the sample reservation below past the payload.
+    if (sample_count > payload_bytes / minSampleBytes) {
+        return fail(error,
+                    formatString("sample count %llu cannot fit in %llu "
+                                 "payload bytes",
+                                 static_cast<unsigned long long>(
+                                     sample_count),
+                                 static_cast<unsigned long long>(
+                                     payload_bytes)));
+    }
 
     std::string payload(static_cast<size_t>(payload_bytes), '\0');
     is.read(payload.empty() ? nullptr : &payload[0],
@@ -199,6 +238,7 @@ tryReadTraceBinary(std::istream &is, SampleTrace &out,
         return fail(error, "payload checksum mismatch");
 
     SampleTrace trace;
+    trace.reserve(static_cast<size_t>(sample_count));
     ByteReader body(payload);
     for (uint64_t i = 0; i < sample_count; ++i) {
         AlignedSample s;
@@ -207,16 +247,13 @@ tryReadTraceBinary(std::istream &is, SampleTrace &out,
         s.osInterruptsTotal = body.readDouble();
         s.osDiskInterrupts = body.readDouble();
         s.osDeviceInterrupts = body.readDouble();
-        for (int r = 0; r < numRails; ++r)
-            s.measuredWatts[static_cast<size_t>(r)] = body.readDouble();
+        body.readDoubles(s.measuredWatts.data(), numRails);
         const uint32_t cpu_count = body.readLe<uint32_t>();
         if (cpu_count > 4096)
             return fail(error, "implausible per-sample CPU count");
         s.perCpu.resize(cpu_count);
-        for (uint32_t c = 0; c < cpu_count; ++c)
-            for (int e = 0; e < numPerfEvents; ++e)
-                s.perCpu[c].counts[static_cast<size_t>(e)] =
-                    body.readDouble();
+        for (CounterSnapshot &snap : s.perCpu)
+            body.readDoubles(snap.counts.data(), numPerfEvents);
         if (!body.ok())
             return fail(error, "payload shorter than sample count");
         trace.add(std::move(s));

@@ -5,8 +5,12 @@
  * messages of the estimator/trainer accessors.
  */
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,6 +20,8 @@
 #include "common/logging.hh"
 #include "core/estimator.hh"
 #include "core/trainer.hh"
+#include "core/validator.hh"
+#include "stats/metrics.hh"
 
 #include "synthetic_trace.hh"
 
@@ -261,6 +267,190 @@ TEST(DegradableModelSet, DescribeNamesDegradedRungs)
     const std::string text = est.health().describe();
     EXPECT_NE(text.find("DEGRADED"), std::string::npos);
     EXPECT_NE(text.find("memory-l3miss"), std::string::npos);
+}
+
+constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+
+/**
+ * A held-out trace that walks every degradation path: NaN-masked bus
+ * events with a rotating second masked event (more distinct memory
+ * and CPU reasons than the per-rail cap keeps), lost device-interrupt
+ * accounting, and glitched measured disk power.
+ */
+SampleTrace
+degradedTrace(int samples)
+{
+    const PerfEvent second[] = {
+        PerfEvent::HaltedCycles,         PerfEvent::FetchedUops,
+        PerfEvent::L3LoadMisses,         PerfEvent::TlbMisses,
+        PerfEvent::DmaOtherAccesses,     PerfEvent::PrefetchTransactions,
+        PerfEvent::UncacheableAccesses,  PerfEvent::InterruptsServiced};
+    return sweepTrace(samples, [&](double u, int i) {
+        AlignedSample s = fullSample(u, i);
+        if (i % 3 == 1)
+            s = maskEvents(std::move(s), {PerfEvent::BusTransactions,
+                                          second[(i / 3) % 8]});
+        if (i % 5 == 2)
+            s = maskEvents(std::move(s), {PerfEvent::BusTransactions});
+        if (i % 7 == 3)
+            s.osDeviceInterrupts = nan;
+        if (i % 11 == 4)
+            s.measuredWatts[idx(Rail::Disk)] = nan;
+        return s;
+    });
+}
+
+/**
+ * A grid-row estimator: the CPU primary is untrained (as when its fit
+ * is rank-deficient), the I/O constant rung and the chipset constant
+ * yield NaN, so every rail degrades and some samples are unestimable.
+ */
+SystemPowerEstimator
+degradedEstimator()
+{
+    SystemPowerEstimator est =
+        SystemPowerEstimator::makeDegradableModelSet();
+    est.trainAll(fullTrace());
+    est.setModel(std::make_unique<CpuPowerModel>());
+    est.fallbacks(Rail::Io)[0]->setCoefficients({nan});
+    est.model(Rail::Chipset).setCoefficients({nan});
+    return est;
+}
+
+uint64_t
+bitsOf(double value)
+{
+    uint64_t bits;
+    std::memcpy(&bits, &value, sizeof(bits));
+    return bits;
+}
+
+void
+expectSameHealth(const HealthReport &got, const HealthReport &want)
+{
+    for (int r = 0; r < numRails; ++r) {
+        const RailHealth &g = got.rails[static_cast<size_t>(r)];
+        const RailHealth &w = want.rails[static_cast<size_t>(r)];
+        SCOPED_TRACE(w.rail);
+        EXPECT_EQ(g.rail, w.rail);
+        EXPECT_EQ(g.rungNames, w.rungNames);
+        EXPECT_EQ(g.rungUses, w.rungUses);
+        EXPECT_EQ(g.estimates, w.estimates);
+        EXPECT_EQ(g.degraded, w.degraded);
+        EXPECT_EQ(g.unestimable, w.unestimable);
+        EXPECT_EQ(g.reasons, w.reasons);
+    }
+}
+
+TEST(Validator, OnePassMatchesPerRailReference)
+{
+    const std::vector<SampleTrace> traces = {degradedTrace(90),
+                                             degradedTrace(41)};
+    HealthReport one_pass;
+    HealthReport per_rail;
+    for (const double dc : {0.0, 21.6}) {
+        SCOPED_TRACE(dc);
+        const SystemPowerEstimator est = degradedEstimator();
+        const SystemPowerEstimator ref = degradedEstimator();
+        const Validator validator(est, dc);
+        for (const SampleTrace &trace : traces) {
+            const ValidationResult got =
+                validator.validate("held-out", trace);
+            for (int r = 0; r < numRails; ++r) {
+                const Rail rail = static_cast<Rail>(r);
+                const std::vector<double> modeled =
+                    ref.modeledColumn(trace, rail);
+                const std::vector<double> &measured =
+                    trace.measuredColumn(rail);
+                uint64_t discarded = 0;
+                const double want =
+                    rail == Rail::Disk && dc > 0.0
+                        ? averageErrorAboveDc(modeled, measured, dc,
+                                              &discarded)
+                        : averageError(modeled, measured, &discarded);
+                EXPECT_EQ(bitsOf(got.error(rail)), bitsOf(want))
+                    << railName(rail);
+                EXPECT_EQ(got.discardedPairs[static_cast<size_t>(r)],
+                          discarded)
+                    << railName(rail);
+            }
+        }
+        one_pass = est.health();
+        per_rail = ref.health();
+        expectSameHealth(one_pass, per_rail);
+    }
+
+    // The reasons, rebuilt with no bookkeeping carried between
+    // samples: each sample's own reasons, merged in trace order and
+    // capped at eight per rail.
+    SystemPowerEstimator probe = degradedEstimator();
+    std::array<std::vector<std::string>, numRails> expected;
+    for (const SampleTrace &trace : traces) {
+        for (const AlignedSample &sample : trace.samples()) {
+            probe.resetHealth();
+            probe.estimate(EventVector::fromSample(sample));
+            const HealthReport report = probe.health();
+            for (int r = 0; r < numRails; ++r) {
+                std::vector<std::string> &merged =
+                    expected[static_cast<size_t>(r)];
+                for (const std::string &reason :
+                     report.rails[static_cast<size_t>(r)].reasons) {
+                    if (merged.size() < 8 &&
+                        std::find(merged.begin(), merged.end(),
+                                  reason) == merged.end())
+                        merged.push_back(reason);
+                }
+            }
+        }
+    }
+    for (int r = 0; r < numRails; ++r)
+        EXPECT_EQ(one_pass.rails[static_cast<size_t>(r)].reasons,
+                  expected[static_cast<size_t>(r)])
+            << railName(static_cast<Rail>(r));
+
+    // The set really walks every path: the cap, every rung, the
+    // unestimable tail, both chain shapes and discarded pairs.
+    const RailHealth &cpu = one_pass.rails[idx(Rail::Cpu)];
+    const RailHealth &memory = one_pass.rails[idx(Rail::Memory)];
+    EXPECT_EQ(cpu.reasons.size(), 8u);
+    EXPECT_EQ(memory.reasons.size(), 8u);
+    EXPECT_EQ(cpu.rungUses[0], 0u);
+    EXPECT_EQ(cpu.degraded, cpu.estimates);
+    ASSERT_EQ(memory.rungUses.size(), 3u);
+    EXPECT_GT(memory.rungUses[0], 0u);
+    EXPECT_GT(memory.rungUses[1], 0u);
+    EXPECT_GT(memory.rungUses[2], 0u);
+    EXPECT_GT(one_pass.rails[idx(Rail::Disk)].degraded, 0u);
+    EXPECT_GT(one_pass.rails[idx(Rail::Io)].unestimable, 0u);
+    EXPECT_EQ(one_pass.rails[idx(Rail::Chipset)].unestimable,
+              one_pass.rails[idx(Rail::Chipset)].estimates);
+    EXPECT_FALSE(one_pass.rails[idx(Rail::Chipset)].reasons.empty());
+}
+
+TEST(DegradableModelSet, ReplacedPrimaryRecordsItsOwnReasons)
+{
+    SystemPowerEstimator est =
+        SystemPowerEstimator::makeDegradableModelSet();
+    est.trainAll(fullTrace());
+    const EventVector ev = EventVector::fromSample(
+        maskEvents(makeSyntheticSample(busyPoint(), {}),
+                   {PerfEvent::BusTransactions}));
+    est.estimateRail(ev, Rail::Memory);
+
+    // Same rung position, same non-finite fields, another model name:
+    // a new reason, not a repeat of the first.
+    auto primary = std::make_unique<ConstantPowerModel>(Rail::Memory);
+    primary->setCoefficients({nan});
+    est.setModel(std::move(primary));
+    est.estimateRail(ev, Rail::Memory);
+
+    const std::string memory_const =
+        std::string(railName(Rail::Memory)) + "-const";
+    const std::vector<std::string> want = {
+        "memory-bus -> memory-l3miss: non-finite rates (busTxPerMcycle)",
+        memory_const +
+            " -> memory-l3miss: non-finite rates (busTxPerMcycle)"};
+    EXPECT_EQ(est.health().rails[idx(Rail::Memory)].reasons, want);
 }
 
 TEST(ActionableErrors, MissingModelNamesRailAndInstalledSet)

@@ -208,6 +208,57 @@ TEST(TraceIo, DetectsVersionAndMagicMismatch)
     }
 }
 
+/** Overwrite the little-endian u64 at a header offset. */
+void
+patchU64(std::string &bytes, size_t offset, uint64_t value)
+{
+    for (size_t i = 0; i < 8; ++i)
+        bytes[offset + i] = static_cast<char>((value >> (8 * i)) & 0xff);
+}
+
+TEST(TraceIo, RejectsSampleCountThatCannotFitPayload)
+{
+    // Header offsets: sampleCount at 24, payloadBytes at 32. The
+    // pathological payload is 404 + 244 + 84 bytes, room for at most
+    // 8 of the smallest (84-byte, no-CPU) samples.
+    const std::string bytes = serialize(pathologicalTrace());
+    uint64_t payload_bytes = 0;
+    for (size_t i = 0; i < 8; ++i)
+        payload_bytes |= static_cast<uint64_t>(
+                             static_cast<unsigned char>(bytes[32 + i]))
+                         << (8 * i);
+    ASSERT_EQ(payload_bytes, 732u);
+
+    // The count is checked against the payload before any sample is
+    // reserved: a count this large would make the reservation throw.
+    for (const uint64_t count :
+         {payload_bytes / 84 + 1, uint64_t{1} << 62, ~uint64_t{0}}) {
+        std::string corrupt = bytes;
+        patchU64(corrupt, 24, count);
+        std::istringstream is(corrupt, std::ios::binary);
+        SampleTrace loaded;
+        std::string error;
+        bool ok = true;
+        EXPECT_NO_THROW(
+            ok = tryReadTraceBinary(is, loaded, nullptr, &error))
+            << "count " << count;
+        EXPECT_FALSE(ok) << "count " << count;
+        EXPECT_NE(error.find("cannot fit"), std::string::npos) << error;
+        EXPECT_TRUE(loaded.empty());
+    }
+
+    // A count that fits the bound but not the actual samples still
+    // fails in the decode loop, as before.
+    std::string short_count = bytes;
+    patchU64(short_count, 24, 4);
+    std::istringstream is(short_count, std::ios::binary);
+    SampleTrace loaded;
+    std::string error;
+    EXPECT_FALSE(tryReadTraceBinary(is, loaded, nullptr, &error));
+    EXPECT_NE(error.find("shorter than sample count"), std::string::npos)
+        << error;
+}
+
 TEST(TraceIo, StrictReaderThrowsOnCorruption)
 {
     std::string bytes = serialize(pathologicalTrace());
