@@ -5,16 +5,12 @@
 
 #include "bench_util.hh"
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <memory>
-#include <thread>
-#include <unordered_set>
 
 #include "common/atomic_file.hh"
 #include "common/logging.hh"
@@ -24,9 +20,6 @@
 #include "obs/prom_writer.hh"
 #include "obs/span_tracer.hh"
 #include "obs/stats_registry.hh"
-#include "resilience/retry.hh"
-#include "resilience/run_journal.hh"
-#include "resilience/shutdown.hh"
 #include "trace/fingerprint.hh"
 
 namespace tdp {
@@ -57,35 +50,6 @@ std::string promPath;
 
 /** The manifest the run helpers accumulate into. */
 obs::RunManifest globalManifest;
-
-/** Journal path; empty = off. See resolveResilienceEnv(). */
-std::string journalPathCfg;
-bool journalPathSet = false;
-
-/** Resume journal path; empty = off. */
-std::string resumePathCfg;
-
-/** Per-attempt watchdog deadline (s); <= 0 = off. */
-Seconds taskTimeoutCfg = 0.0;
-bool taskTimeoutSet = false;
-
-/** Attempts per task; 0 = default. */
-int taskRetriesCfg = 0;
-bool taskRetriesSet = false;
-
-/** True once the TDP_* resilience variables were consulted. */
-bool resilienceEnvResolved = false;
-
-/** The active chaos injector; null when chaos is off. */
-std::unique_ptr<resilience::ChaosInjector> activeChaos;
-
-/** The process run journal; opened on the first resilient batch. */
-resilience::RunJournal processJournal;
-bool journalOpenTried = false;
-
-/** Fingerprints the resume journal recorded as published. */
-std::unordered_set<uint64_t> resumePublished;
-bool resumeLoaded = false;
 
 /** File name component of a path, for the manifest's tool field. */
 std::string
@@ -130,13 +94,73 @@ addTrainingSection(const TrainingReport &report)
     }
 }
 
+/**
+ * Parse a positive count given to `flag`; usage error on anything
+ * else (atoi's 0 for non-numeric text included).
+ */
 int
-parseJobsValue(const char *text)
+parsePositiveValue(const char *flag, const char *text)
 {
     const int parsed = std::atoi(text);
     if (parsed <= 0)
-        fatal("--jobs expects a positive integer, got '%s'", text);
+        usageError(formatString("%s expects a positive integer, got "
+                                "'%s'",
+                                flag, text));
     return parsed;
+}
+
+/** The shared flags that take a value. */
+constexpr const char *valueFlags[] = {"--jobs",         "--trace-out",
+                                      "--manifest-out", "--timeline-out",
+                                      "--prom-out",     "--repetitions"};
+
+/** How an argument spells a value flag. */
+enum class Spelling
+{
+    /** Not this flag. */
+    None,
+
+    /** `--flag VALUE`: the value is the next argument. */
+    Separate,
+
+    /** `--flag=VALUE`. */
+    Inline,
+};
+
+Spelling
+spellingOf(const char *arg, const char *flag)
+{
+    const size_t n = std::strlen(flag);
+    if (std::strncmp(arg, flag, n) != 0)
+        return Spelling::None;
+    if (arg[n] == '\0')
+        return Spelling::Separate;
+    return arg[n] == '=' ? Spelling::Inline : Spelling::None;
+}
+
+/**
+ * The value `argv[i]` gives the flag `flag` in either spelling
+ * (advancing i past a separate value), or nullptr when `argv[i]` is
+ * not this flag. A missing or empty value is a usage error.
+ */
+const char *
+flagValue(int argc, char **argv, int &i, const char *flag,
+          const char *what)
+{
+    switch (spellingOf(argv[i], flag)) {
+    case Spelling::None:
+        return nullptr;
+    case Spelling::Separate:
+        if (i + 1 >= argc)
+            usageError(formatString("%s expects %s", flag, what));
+        return argv[++i];
+    case Spelling::Inline:
+        break;
+    }
+    const char *value = argv[i] + std::strlen(flag) + 1;
+    if (value[0] == '\0')
+        usageError(formatString("%s= expects %s", flag, what));
+    return value;
 }
 
 /** Resolve the cache from the environment when no flag decided it. */
@@ -150,63 +174,6 @@ resolveTraceCache()
         TraceCache::rootFromEnvironment();
     if (root)
         activeTraceCache = std::make_unique<TraceCache>(*root);
-}
-
-Seconds
-parseTimeoutValue(const char *text)
-{
-    char *end = nullptr;
-    const double parsed = std::strtod(text, &end);
-    if (end == text || *end != '\0' || parsed < 0.0)
-        fatal("--task-timeout expects a non-negative number of "
-              "seconds, got '%s'",
-              text);
-    return parsed;
-}
-
-int
-parseRetriesValue(const char *text)
-{
-    const int parsed = std::atoi(text);
-    if (parsed <= 0)
-        fatal("--task-retries expects a positive attempt count, got "
-              "'%s'",
-              text);
-    return parsed;
-}
-
-int
-parseRepetitionsValue(const char *text)
-{
-    const int parsed = std::atoi(text);
-    if (parsed <= 0)
-        fatal("--repetitions expects a positive count, got '%s'",
-              text);
-    return parsed;
-}
-
-/** Fill unset resilience knobs from the environment (flags win). */
-void
-resolveResilienceEnv()
-{
-    if (resilienceEnvResolved)
-        return;
-    resilienceEnvResolved = true;
-    if (!journalPathSet) {
-        const char *env = std::getenv("TDP_RUN_JOURNAL");
-        if (env && env[0] != '\0')
-            journalPathCfg = env;
-    }
-    if (!taskTimeoutSet) {
-        const char *env = std::getenv("TDP_TASK_TIMEOUT");
-        if (env && env[0] != '\0')
-            taskTimeoutCfg = parseTimeoutValue(env);
-    }
-    if (!taskRetriesSet) {
-        const char *env = std::getenv("TDP_TASK_RETRIES");
-        if (env && env[0] != '\0')
-            taskRetriesCfg = parseRetriesValue(env);
-    }
 }
 
 } // namespace
@@ -237,91 +204,38 @@ initBench(int argc, char **argv)
     std::string manifest_out;
     std::string timeline_out;
     std::string prom_out;
+    const char *value = nullptr;
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
-        if (std::strcmp(arg, "--jobs") == 0 ||
-            std::strcmp(arg, "-j") == 0) {
-            if (i + 1 >= argc)
-                fatal("%s expects a worker count", arg);
-            setJobs(parseJobsValue(argv[++i]));
-        } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
-            setJobs(parseJobsValue(arg + 7));
-        } else if (std::strncmp(arg, "-j", 2) == 0 && arg[2] != '\0') {
-            setJobs(parseJobsValue(arg + 2));
+        if ((value = flagValue(argc, argv, i, "-j", "a worker count"))) {
+            setJobs(parsePositiveValue("-j", value));
+        } else if (std::strncmp(arg, "-j", 2) == 0) {
+            setJobs(parsePositiveValue("-j", arg + 2));
+        } else if ((value = flagValue(argc, argv, i, "--jobs",
+                                      "a worker count"))) {
+            setJobs(parsePositiveValue("--jobs", value));
         } else if (std::strcmp(arg, "--trace-cache") == 0) {
             setTraceCacheRoot(TraceCache::defaultRoot());
-        } else if (std::strncmp(arg, "--trace-cache=", 14) == 0) {
-            if (arg[14] == '\0')
-                fatal("--trace-cache= expects a directory");
-            setTraceCacheRoot(arg + 14);
+        } else if ((value = flagValue(argc, argv, i, "--trace-cache",
+                                      "a directory"))) {
+            setTraceCacheRoot(value);
         } else if (std::strcmp(arg, "--no-trace-cache") == 0) {
             setTraceCacheRoot("");
-        } else if (std::strcmp(arg, "--trace-out") == 0) {
-            if (i + 1 >= argc)
-                fatal("--trace-out expects a file path");
-            trace_out = argv[++i];
-        } else if (std::strncmp(arg, "--trace-out=", 12) == 0) {
-            if (arg[12] == '\0')
-                fatal("--trace-out= expects a file path");
-            trace_out = arg + 12;
-        } else if (std::strcmp(arg, "--manifest-out") == 0) {
-            if (i + 1 >= argc)
-                fatal("--manifest-out expects a file path");
-            manifest_out = argv[++i];
-        } else if (std::strncmp(arg, "--manifest-out=", 15) == 0) {
-            if (arg[15] == '\0')
-                fatal("--manifest-out= expects a file path");
-            manifest_out = arg + 15;
-        } else if (std::strcmp(arg, "--timeline-out") == 0) {
-            if (i + 1 >= argc)
-                fatal("--timeline-out expects a file path");
-            timeline_out = argv[++i];
-        } else if (std::strncmp(arg, "--timeline-out=", 15) == 0) {
-            if (arg[15] == '\0')
-                fatal("--timeline-out= expects a file path");
-            timeline_out = arg + 15;
-        } else if (std::strcmp(arg, "--prom-out") == 0) {
-            if (i + 1 >= argc)
-                fatal("--prom-out expects a file path");
-            prom_out = argv[++i];
-        } else if (std::strncmp(arg, "--prom-out=", 11) == 0) {
-            if (arg[11] == '\0')
-                fatal("--prom-out= expects a file path");
-            prom_out = arg + 11;
-        } else if (std::strcmp(arg, "--journal") == 0) {
-            if (i + 1 >= argc)
-                fatal("--journal expects a file path");
-            setRunJournalPath(argv[++i]);
-        } else if (std::strncmp(arg, "--journal=", 10) == 0) {
-            if (arg[10] == '\0')
-                fatal("--journal= expects a file path");
-            setRunJournalPath(arg + 10);
-        } else if (std::strcmp(arg, "--resume") == 0) {
-            if (i + 1 >= argc)
-                fatal("--resume expects a journal path");
-            setResumeJournalPath(argv[++i]);
-        } else if (std::strncmp(arg, "--resume=", 9) == 0) {
-            if (arg[9] == '\0')
-                fatal("--resume= expects a journal path");
-            setResumeJournalPath(arg + 9);
-        } else if (std::strcmp(arg, "--task-timeout") == 0) {
-            if (i + 1 >= argc)
-                fatal("--task-timeout expects seconds");
-            setTaskTimeout(parseTimeoutValue(argv[++i]));
-        } else if (std::strncmp(arg, "--task-timeout=", 15) == 0) {
-            setTaskTimeout(parseTimeoutValue(arg + 15));
-        } else if (std::strcmp(arg, "--task-retries") == 0) {
-            if (i + 1 >= argc)
-                fatal("--task-retries expects an attempt count");
-            setTaskRetries(parseRetriesValue(argv[++i]));
-        } else if (std::strncmp(arg, "--task-retries=", 15) == 0) {
-            setTaskRetries(parseRetriesValue(arg + 15));
-        } else if (std::strcmp(arg, "--repetitions") == 0) {
-            if (i + 1 >= argc)
-                fatal("--repetitions expects a count");
-            setBenchRepetitions(parseRepetitionsValue(argv[++i]));
-        } else if (std::strncmp(arg, "--repetitions=", 14) == 0) {
-            setBenchRepetitions(parseRepetitionsValue(arg + 14));
+        } else if ((value = flagValue(argc, argv, i, "--trace-out",
+                                      "a file path"))) {
+            trace_out = value;
+        } else if ((value = flagValue(argc, argv, i, "--manifest-out",
+                                      "a file path"))) {
+            manifest_out = value;
+        } else if ((value = flagValue(argc, argv, i, "--timeline-out",
+                                      "a file path"))) {
+            timeline_out = value;
+        } else if ((value = flagValue(argc, argv, i, "--prom-out",
+                                      "a file path"))) {
+            prom_out = value;
+        } else if ((value = flagValue(argc, argv, i, "--repetitions",
+                                      "a count"))) {
+            setBenchRepetitions(parsePositiveValue("--repetitions", value));
         }
     }
 
@@ -367,36 +281,34 @@ positionalArgs(int argc, char **argv)
     std::vector<std::string> out;
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
-        if (std::strcmp(arg, "--jobs") == 0 ||
-            std::strcmp(arg, "-j") == 0 ||
-            std::strcmp(arg, "--trace-out") == 0 ||
-            std::strcmp(arg, "--manifest-out") == 0 ||
-            std::strcmp(arg, "--timeline-out") == 0 ||
-            std::strcmp(arg, "--prom-out") == 0 ||
-            std::strcmp(arg, "--journal") == 0 ||
-            std::strcmp(arg, "--resume") == 0 ||
-            std::strcmp(arg, "--task-timeout") == 0 ||
-            std::strcmp(arg, "--task-retries") == 0 ||
-            std::strcmp(arg, "--repetitions") == 0) {
-            ++i; // skip the value
-        } else if (std::strncmp(arg, "--jobs=", 7) != 0 &&
-                   !(std::strncmp(arg, "-j", 2) == 0 &&
-                     arg[2] != '\0') &&
-                   std::strncmp(arg, "--trace-cache", 13) != 0 &&
-                   std::strcmp(arg, "--no-trace-cache") != 0 &&
-                   std::strncmp(arg, "--trace-out=", 12) != 0 &&
-                   std::strncmp(arg, "--manifest-out=", 15) != 0 &&
-                   std::strncmp(arg, "--timeline-out=", 15) != 0 &&
-                   std::strncmp(arg, "--prom-out=", 11) != 0 &&
-                   std::strncmp(arg, "--journal=", 10) != 0 &&
-                   std::strncmp(arg, "--resume=", 9) != 0 &&
-                   std::strncmp(arg, "--task-timeout=", 15) != 0 &&
-                   std::strncmp(arg, "--task-retries=", 15) != 0 &&
-                   std::strncmp(arg, "--repetitions=", 14) != 0) {
-            out.push_back(arg);
+        if (std::strncmp(arg, "-j", 2) == 0) {
+            if (arg[2] == '\0')
+                ++i; // skip the value
+            continue;
         }
+        if (std::strcmp(arg, "--no-trace-cache") == 0 ||
+            spellingOf(arg, "--trace-cache") != Spelling::None)
+            continue;
+        Spelling spelling = Spelling::None;
+        for (const char *flag : valueFlags)
+            if ((spelling = spellingOf(arg, flag)) != Spelling::None)
+                break;
+        if (spelling == Spelling::Separate)
+            ++i; // skip the value
+        else if (spelling == Spelling::None)
+            out.push_back(arg);
     }
     return out;
+}
+
+void
+usageError(const std::string &message, const char *synopsis)
+{
+    std::fflush(stdout);
+    std::fprintf(stderr, "usage error: %s\n", message.c_str());
+    if (synopsis)
+        std::fprintf(stderr, "%s\n", synopsis);
+    std::exit(2);
 }
 
 void
@@ -414,71 +326,6 @@ traceCache()
 {
     resolveTraceCache();
     return activeTraceCache.get();
-}
-
-void
-setRunJournalPath(const std::string &path)
-{
-    journalPathSet = true;
-    journalPathCfg = path;
-    // Re-open against the new path at the next resilient batch.
-    processJournal.close();
-    journalOpenTried = false;
-}
-
-void
-setResumeJournalPath(const std::string &path)
-{
-    resumePathCfg = path;
-    resumeLoaded = false;
-    resumePublished.clear();
-    processJournal.close();
-    journalOpenTried = false;
-}
-
-void
-setTaskTimeout(Seconds timeout)
-{
-    taskTimeoutSet = true;
-    taskTimeoutCfg = timeout;
-}
-
-void
-setTaskRetries(int max_attempts)
-{
-    if (max_attempts < 0)
-        fatal("setTaskRetries: attempt count must be >= 0, got %d",
-              max_attempts);
-    taskRetriesSet = true;
-    taskRetriesCfg = max_attempts;
-}
-
-void
-setChaosPlan(const resilience::ChaosPlan &plan)
-{
-    plan.validate();
-    if (activeChaos)
-        activeChaos->removePublishHook();
-    activeChaos.reset();
-    if (!plan.enabled())
-        return;
-    activeChaos = std::make_unique<resilience::ChaosInjector>(plan);
-    activeChaos->installPublishHook();
-}
-
-resilience::ChaosInjector *
-chaosInjector()
-{
-    return activeChaos.get();
-}
-
-bool
-resilienceActive()
-{
-    resolveResilienceEnv();
-    return !journalPathCfg.empty() || !resumePathCfg.empty() ||
-           taskTimeoutCfg > 0.0 || taskRetriesCfg > 0 ||
-           activeChaos != nullptr;
 }
 
 bool
@@ -576,112 +423,38 @@ runFingerprint(const RunSpec &spec)
     return fp.digest();
 }
 
-namespace {
-
-/** Append to the journal when one is open (no-op otherwise). */
-void
-journalAppend(resilience::JournalKind kind, uint64_t task,
-              uint64_t fingerprint, int attempt,
-              const std::string &detail)
+std::vector<SampleTrace>
+runTraces(const std::vector<RunSpec> &specs)
 {
-    if (processJournal.isOpen())
-        processJournal.append(kind, task, fingerprint, attempt,
-                              detail);
-}
+    TraceCache *cache = traceCache();
+    const size_t n = specs.size();
+    std::vector<SampleTrace> out(n);
+    std::vector<uint64_t> keys(n, 0);
+    if (cache || observabilityOn)
+        for (size_t i = 0; i < n; ++i)
+            keys[i] = runFingerprint(specs[i]);
 
-/** Replay the resume journal into resumePublished (once). */
-void
-loadResumeJournal()
-{
-    if (resumeLoaded || resumePathCfg.empty())
-        return;
-    resumeLoaded = true;
-    if (!traceCache())
-        fatal("--resume requires the trace cache (--trace-cache or "
-              "TDP_TRACE_CACHE): resumed tasks are served from it");
-    const resilience::RunJournal::Replay replay =
-        resilience::RunJournal::replay(resumePathCfg);
-    if (!replay.valid())
-        fatal("--resume: cannot resume from %s: %s",
-              resumePathCfg.c_str(), replay.error.c_str());
-    if (replay.tornTail)
-        warn("resume: %s ends in a torn record (crash mid-append); "
-             "dropping it",
-             resumePathCfg.c_str());
-    for (const resilience::JournalRecord &rec : replay.records)
-        if (rec.kind == resilience::JournalKind::TracePublished)
-            resumePublished.insert(rec.fingerprint);
-    emitStats("resume[%s]: %zu record(s), %zu published trace(s)",
-              resumePathCfg.c_str(), replay.records.size(),
-              resumePublished.size());
-    // Resuming keeps journalling to the same file unless --journal
-    // named a different one.
-    if (journalPathCfg.empty()) {
-        journalPathCfg = resumePathCfg;
-        journalPathSet = true;
-    }
-}
+    // Indices that still need a simulation, in spec order.
+    std::vector<size_t> pending;
+    for (size_t i = 0; i < n; ++i)
+        if (!cache || !cache->lookup(keys[i], out[i]))
+            pending.push_back(i);
 
-/** Open the configured journal for appending (once). */
-void
-openJournalIfConfigured()
-{
-    if (journalOpenTried || journalPathCfg.empty())
-        return;
-    journalOpenTried = true;
-    std::string error;
-    if (!processJournal.open(journalPathCfg, &error))
-        fatal("run journal: %s", error.c_str());
-}
+    // Each worker stores its trace as soon as it is simulated, so a
+    // batch killed midway keeps every run that finished: re-running
+    // it against the same cache simulates only the rest.
+    ExperimentPool(jobs()).forEach(pending.size(), [&](size_t j) {
+        const size_t i = pending[j];
+        out[i] = runTrace(specs[i]);
+        if (cache)
+            cache->store(keys[i], out[i]);
+    });
 
-/** Apply the chaos plan to one attempt; throws to fail it. */
-void
-injectTaskChaos(uint64_t key,
-                const ExperimentPool::TaskContext &ctx)
-{
-    resilience::ChaosInjector *chaos = activeChaos.get();
-    if (!chaos)
-        return;
-    if (chaos->isPoisoned(key))
-        throw resilience::TransientError("chaos: poisoned task");
-    if (chaos->shouldKill(key, ctx.attempt))
-        throw resilience::TransientError("chaos: worker killed");
-    if (chaos->shouldStall(key, ctx.attempt)) {
-        // Cooperative stall: hold the attempt until the watchdog
-        // cancels it, bounded so an un-watched task cannot hang the
-        // sweep forever.
-        const Seconds bound = chaos->plan().slowTaskSeconds;
-        const auto start = std::chrono::steady_clock::now();
-        for (;;) {
-            if (ctx.cancel && ctx.cancel->cancelled())
-                throw resilience::CancelledError(
-                    "chaos: stalled past the task deadline");
-            const Seconds waited =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-            if (waited >= bound)
-                throw resilience::TransientError(
-                    "chaos: stall bound reached");
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(1));
-        }
-    }
-}
-
-/**
- * Batch epilogue shared by both runTraces paths: manifest run rows
- * and the cache stats line. `simulated[i]` marks specs that were not
- * served from the cache.
- */
-void
-finishBatch(const std::vector<RunSpec> &specs,
-            const std::vector<uint64_t> &keys,
-            const std::vector<SampleTrace> &out,
-            const std::vector<char> &simulated, size_t simulated_count)
-{
     if (observabilityOn) {
-        for (size_t i = 0; i < specs.size(); ++i) {
+        std::vector<char> simulated(n, 0);
+        for (const size_t i : pending)
+            simulated[i] = 1;
+        for (size_t i = 0; i < n; ++i) {
             obs::ManifestRun run;
             run.workload = specs[i].workload;
             run.samples = out[i].size();
@@ -691,214 +464,16 @@ finishBatch(const std::vector<RunSpec> &specs,
             globalManifest.addRun(std::move(run));
         }
     }
-    const TraceCache *cache = activeTraceCache.get();
     if (cache) {
         // Stderr only: stdout must stay byte-identical whether or
         // not a run was served from the cache.
         emitStats("trace-cache[%s]: %zu hit(s), %zu simulated of "
                   "%zu run(s), %llu retried",
-                  cache->root().c_str(),
-                  specs.size() - simulated_count, simulated_count,
-                  specs.size(),
+                  cache->root().c_str(), n - pending.size(),
+                  pending.size(), n,
                   static_cast<unsigned long long>(
                       cache->stats().retries.load()));
     }
-}
-
-/**
- * The crash-safe orchestration path: write-ahead journal, resume
- * skipping, per-task watchdogs, bounded retry, quarantine, graceful
- * shutdown, chaos injection. Traces are stored to the cache from
- * inside the workers, so a crash loses at most the in-flight tasks.
- */
-std::vector<SampleTrace>
-runTracesResilient(const std::vector<RunSpec> &specs)
-{
-    resilience::installShutdownHandler();
-    TraceCache *cache = traceCache();
-    loadResumeJournal();
-    openJournalIfConfigured();
-
-    const size_t n = specs.size();
-    std::vector<SampleTrace> out(n);
-    std::vector<uint64_t> keys(n);
-    for (size_t i = 0; i < n; ++i)
-        keys[i] = runFingerprint(specs[i]);
-
-    using resilience::JournalKind;
-    journalAppend(JournalKind::RunBegin, 0, 0, 0,
-                  formatString("batch-of-%zu", n));
-    for (size_t i = 0; i < n; ++i)
-        journalAppend(JournalKind::TaskQueued, i, keys[i], 0,
-                      specs[i].workload);
-
-    // Tasks whose traces already landed in the cache (a previous
-    // run, or the one being resumed) are done: cached traces are
-    // lossless, so serving them keeps stdout bit-identical to an
-    // uninterrupted run.
-    std::vector<size_t> pending;
-    std::vector<char> simulated(n, 0);
-    for (size_t i = 0; i < n; ++i) {
-        if (cache && cache->lookup(keys[i], out[i])) {
-            journalAppend(JournalKind::TracePublished, i, keys[i], 0,
-                          "cache");
-        } else {
-            pending.push_back(i);
-            simulated[i] = 1;
-        }
-    }
-
-    if (!pending.empty()) {
-        ExperimentPool pool(jobs());
-        ExperimentPool::TaskOptions options;
-        options.timeout = taskTimeoutCfg;
-        if (taskRetriesCfg > 0)
-            options.retry.maxAttempts = taskRetriesCfg;
-        options.retry.seed = defaultSeed;
-        options.taskKey = [&](size_t j) { return keys[pending[j]]; };
-        options.observer =
-            [&](const ExperimentPool::TaskEvent &ev) {
-                using Kind = ExperimentPool::TaskEvent::Kind;
-                const size_t i = pending[ev.task];
-                switch (ev.kind) {
-                case Kind::Started:
-                    journalAppend(JournalKind::TaskStarted, i,
-                                  keys[i], ev.attempt, "");
-                    break;
-                case Kind::Succeeded:
-                    journalAppend(JournalKind::TracePublished, i,
-                                  keys[i], ev.attempt,
-                                  ev.detail.empty() ? "fresh"
-                                                    : ev.detail);
-                    break;
-                case Kind::Failed:
-                case Kind::TimedOut:
-                    journalAppend(JournalKind::TaskFailed, i,
-                                  keys[i], ev.attempt, ev.detail);
-                    break;
-                case Kind::Quarantined:
-                    journalAppend(JournalKind::TaskQuarantined, i,
-                                  keys[i], ev.attempt, ev.detail);
-                    break;
-                }
-            };
-
-        const ExperimentPool::BatchReport report =
-            pool.forEachResilient(
-                pending.size(),
-                [&](size_t j, ExperimentPool::TaskContext &ctx) {
-                    const size_t i = pending[j];
-                    injectTaskChaos(keys[i], ctx);
-                    SampleTrace trace = runTrace(specs[i]);
-                    if (cache)
-                        cache->store(keys[i], trace);
-                    out[i] = std::move(trace);
-                },
-                options);
-
-        if (report.retries > 0 || report.timeouts > 0)
-            emitStats(
-                "resilient-pool: %llu attempt(s), %llu retried, "
-                "%llu timeout(s)",
-                static_cast<unsigned long long>(report.attempts),
-                static_cast<unsigned long long>(report.retries),
-                static_cast<unsigned long long>(report.timeouts));
-
-        if (report.shutdownDrained) {
-            const int sig = resilience::shutdownSignal();
-            journalAppend(JournalKind::Shutdown, 0, 0, 0,
-                          sig > 0 ? formatString("signal-%d", sig)
-                                  : "requested");
-            journalAppend(JournalKind::RunEnd, 0, 0, 0, "aborted");
-            emitStats(
-                "shutdown: drained with %llu of %zu pending "
-                "task(s) complete; exit %d",
-                static_cast<unsigned long long>(report.completed),
-                pending.size(), resilience::cleanAbortExitCode);
-            // Partial results are already durable: every completed
-            // task's trace was stored from its worker, and the
-            // journal names them. Flush the partial manifest and
-            // leave with the distinct clean-abort code.
-            flushObservability();
-            processJournal.close();
-            std::exit(resilience::cleanAbortExitCode);
-        }
-
-        if (!report.quarantined.empty()) {
-            journalAppend(JournalKind::RunEnd, 0, 0, 0,
-                          "quarantined");
-            std::string names;
-            for (const size_t q : report.quarantined) {
-                if (!names.empty())
-                    names += ", ";
-                names += specs[pending[q]].workload;
-            }
-            const std::string hint =
-                processJournal.isOpen()
-                    ? formatString("; completed work is journalled "
-                                   "in %s - rerun with --resume to "
-                                   "skip it",
-                                   processJournal.path().c_str())
-                    : std::string();
-            fatal("resilient-pool: %zu task(s) quarantined after %d "
-                  "attempt(s) each: %s%s",
-                  report.quarantined.size(),
-                  options.retry.maxAttempts, names.c_str(),
-                  hint.c_str());
-        }
-    }
-
-    journalAppend(JournalKind::RunEnd, 0, 0, 0, "complete");
-    finishBatch(specs, keys, out, simulated, pending.size());
-    return out;
-}
-
-} // namespace
-
-std::vector<SampleTrace>
-runTraces(const std::vector<RunSpec> &specs)
-{
-    if (resilienceActive())
-        return runTracesResilient(specs);
-
-    TraceCache *cache = traceCache();
-    std::vector<SampleTrace> out(specs.size());
-
-    // Indices that still need a simulation, in spec order.
-    std::vector<size_t> pending;
-    std::vector<uint64_t> keys(specs.size(), 0);
-    if (observabilityOn)
-        for (size_t i = 0; i < specs.size(); ++i)
-            keys[i] = runFingerprint(specs[i]);
-    if (cache) {
-        for (size_t i = 0; i < specs.size(); ++i) {
-            if (!observabilityOn)
-                keys[i] = runFingerprint(specs[i]);
-            if (!cache->lookup(keys[i], out[i]))
-                pending.push_back(i);
-        }
-    } else {
-        pending.resize(specs.size());
-        for (size_t i = 0; i < specs.size(); ++i)
-            pending[i] = i;
-    }
-
-    if (!pending.empty()) {
-        ExperimentPool pool(jobs());
-        std::vector<SampleTrace> fresh = pool.map<SampleTrace>(
-            pending.size(),
-            [&](size_t j) { return runTrace(specs[pending[j]]); });
-        for (size_t j = 0; j < pending.size(); ++j) {
-            if (cache)
-                cache->store(keys[pending[j]], fresh[j]);
-            out[pending[j]] = std::move(fresh[j]);
-        }
-    }
-
-    std::vector<char> simulated(specs.size(), 0);
-    for (const size_t i : pending)
-        simulated[i] = 1;
-    finishBatch(specs, keys, out, simulated, pending.size());
     return out;
 }
 

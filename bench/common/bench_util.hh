@@ -21,7 +21,6 @@
 #include "measure/trace.hh"
 #include "obs/run_manifest.hh"
 #include "platform/server.hh"
-#include "resilience/chaos.hh"
 #include "trace/trace_cache.hh"
 
 namespace tdp {
@@ -33,12 +32,16 @@ constexpr uint64_t defaultSeed = 0x5eed2007;
 /**
  * Parse the shared bench flags and configure the experiment helpers.
  * Call first thing in every bench main. Unrecognised arguments are
- * left alone for the binary's own parsing.
+ * left alone for the binary's own parsing; a malformed shared flag
+ * (a missing or non-positive value) is a usage error (exit 2).
  *
- *  - `--jobs N` / `-j N` / `--jobs=N`: experiment worker count
- *    (default: TDP_JOBS, else the hardware concurrency);
+ *  - `--jobs N` / `-j N` / `--jobs=N` / `-jN`: experiment worker
+ *    count (default: TDP_JOBS, else the hardware concurrency);
  *  - `--trace-cache` / `--trace-cache=DIR`: enable the trace cache
- *    (default directory `.tdp-trace-cache` when no DIR is given);
+ *    (default directory `.tdp-trace-cache` when no DIR is given).
+ *    runTraces() stores each trace as soon as it is simulated, so
+ *    re-running a killed batch with the same cache simulates only
+ *    the runs that never finished;
  *  - `--no-trace-cache`: force the cache off.
  *  - `--trace-out FILE` / `--trace-out=FILE`: record spans and write
  *    a Chrome trace-event JSON to FILE at exit (TDP_TRACE_OUT when
@@ -54,27 +57,9 @@ constexpr uint64_t defaultSeed = 0x5eed2007;
  *  - `--prom-out FILE` / `--prom-out=FILE`: write the stats registry
  *    in Prometheus text exposition format to FILE at exit
  *    (TDP_PROM_OUT when the flag is absent);
- *  - `--journal FILE` / `--journal=FILE`: append a write-ahead run
- *    journal of task transitions to FILE (TDP_RUN_JOURNAL when the
- *    flag is absent);
- *  - `--resume FILE` / `--resume=FILE`: resume from an interrupted
- *    run's journal - tasks whose traces already landed in the cache
- *    are skipped - and keep journalling to the same FILE. Requires
- *    the trace cache;
- *  - `--task-timeout S` / `--task-timeout=S`: per-attempt watchdog
- *    deadline in seconds (TDP_TASK_TIMEOUT when the flag is absent;
- *    0 disables);
- *  - `--task-retries N` / `--task-retries=N`: attempts per task
- *    including the first (TDP_TASK_RETRIES when the flag is absent;
- *    default 3 once the resilient path is active);
  *  - `--repetitions N` / `--repetitions=N`: statistical repetitions
  *    of the measured section for benches that report repetition
  *    series (TDP_BENCH_REPS when the flag is absent; default 5).
- *
- * Any of the journal/resume/timeout/retries knobs (or an enabled
- * chaos plan) routes runTraces() through the crash-safe orchestration
- * path; with all of them off the classic path runs and every bench
- * byte-stream is unchanged.
  *
  * Without a cache flag the TDP_TRACE_CACHE environment variable
  * decides (unset/empty/"0" off, "1" default directory, else the
@@ -100,6 +85,14 @@ int jobs();
  * this instead of raw argv.
  */
 std::vector<std::string> positionalArgs(int argc, char **argv);
+
+/**
+ * Report a command-line mistake and exit with status 2: one
+ * `usage error: MESSAGE` line on stderr, followed by `synopsis`
+ * when one is given.
+ */
+[[noreturn]] void usageError(const std::string &message,
+                             const char *synopsis = nullptr);
 
 /** How a workload is launched for an experiment. */
 struct RunSpec
@@ -154,10 +147,13 @@ SampleTrace runTrace(const RunSpec &spec);
  * When the trace cache is enabled (see initBench), each spec is
  * first looked up by its fingerprint; hits are loaded from disk
  * (bit-identical to a fresh simulation, by the binary format's
- * losslessness) and only the misses are simulated - and then stored
- * for the next run. Rejected (stale/corrupt) entries fall back to
- * simulation with a logged warning. A per-call hit/miss summary goes
- * to stderr, never stdout, so captured bench output is unaffected.
+ * losslessness) and only the misses are simulated. Each worker
+ * stores its trace the moment it is simulated, so a batch killed
+ * midway loses only its in-flight runs: re-running it against the
+ * same cache serves every finished run from disk. Rejected
+ * (stale/corrupt) entries fall back to simulation with a logged
+ * warning. A per-call hit/miss summary goes to stderr, never stdout,
+ * so captured bench output is unaffected.
  */
 std::vector<SampleTrace> runTraces(const std::vector<RunSpec> &specs);
 
@@ -186,45 +182,6 @@ void setTraceCacheRoot(const std::string &root);
 
 /** The active trace cache, or nullptr when caching is disabled. */
 TraceCache *traceCache();
-
-/**
- * Append the write-ahead run journal to `path` ("" disables).
- * Overrides the --journal flag and TDP_RUN_JOURNAL; mainly for tests
- * and the chaos sweep. Takes effect at the next runTraces() call.
- */
-void setRunJournalPath(const std::string &path);
-
-/**
- * Resume from the journal at `path` ("" disables): the journal is
- * replayed (a corrupt journal is fatal), tasks whose traces already
- * landed in the cache are served from it, and new records are
- * appended to the same file. Requires the trace cache.
- */
-void setResumeJournalPath(const std::string &path);
-
-/** Per-attempt watchdog deadline (s); <= 0 disables. */
-void setTaskTimeout(Seconds timeout);
-
-/** Attempts per task including the first; 0 restores the default. */
-void setTaskRetries(int max_attempts);
-
-/**
- * Inject orchestration chaos into subsequent runTraces() calls:
- * installs the publish-fault hook and applies the plan's kill/stall/
- * poison decisions to every task attempt. A disabled plan removes
- * the injector. See resilience::ChaosPlan.
- */
-void setChaosPlan(const resilience::ChaosPlan &plan);
-
-/** The active chaos injector, or nullptr when chaos is off. */
-resilience::ChaosInjector *chaosInjector();
-
-/**
- * True when the next runTraces() call will take the resilient
- * orchestration path (any journal/resume/timeout/retries knob set,
- * via flag, environment or setter, or chaos enabled).
- */
-bool resilienceActive();
 
 /** True when any observability flag (or env) enabled telemetry. */
 bool observabilityEnabled();

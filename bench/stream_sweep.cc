@@ -19,7 +19,7 @@
  *  3. stall    - half the fleet goes silent mid-phase (idle-timeout
  *                eviction) and returns as fresh sessions;
  *  4. poison   - every client turns malicious after its baseline
- *                (chaos-plan style deterministic per-client faults:
+ *                (deterministic hashed per-client faults:
  *                NaN counters, duplicate and stale sequence numbers);
  *                the full fleet must end quarantined with the service
  *                still live;
@@ -373,7 +373,7 @@ phaseConfig(const SweepOptions &opt, size_t workload,
     return cfg;
 }
 
-/** Chaos-plan style deterministic per-(client, round) decision. */
+/** Deterministic per-(client, round) fault decision. */
 bool
 chaosHit(uint64_t seed, uint64_t client, uint64_t round,
          double probability)
@@ -943,7 +943,7 @@ childEnvStrings()
     static const char *const dropped[] = {
         "TDP_TIMELINE_OUT=",      "TDP_MANIFEST_OUT=",
         "TDP_TRACE_OUT=",         "TDP_PROM_OUT=",
-        "TDP_BENCH_JSON_DIR=",    "TDP_RUN_JOURNAL=",
+        "TDP_BENCH_JSON_DIR=",
         "TDP_STREAM_CHECKPOINT="}; // also matches _EVERY
     std::vector<std::string> env;
     for (char **e = environ; *e != nullptr; ++e) {

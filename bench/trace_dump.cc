@@ -10,7 +10,8 @@
  *              [--format csv|bin] [--read FILE] [--manifest]
  *
  * Defaults: gcc 8 120 0 0x5eed2007, CSV. Output goes to stdout;
- * progress to stderr.
+ * progress to stderr. `--help` prints the usage and exits 0; an
+ * unknown option or workload is a usage error (exit 2).
  *
  * Formats:
  *  - csv: the historical lossy export (rounded values, counters
@@ -30,6 +31,7 @@
  * manifest document for it on stdout instead of the trace itself.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -44,6 +46,11 @@
 namespace {
 
 using namespace tdp;
+
+constexpr const char *synopsis =
+    "usage: trace_dump [workload] [instances] [seconds] [stagger] "
+    "[seed]\n"
+    "                  [--format csv|bin] [--read FILE] [--manifest]";
 
 /** Load a trace from a file, sniffing binary vs CSV by the magic. */
 SampleTrace
@@ -69,15 +76,18 @@ readTraceFile(const std::string &path)
     return trace;
 }
 
-/** Parse a --format value; fatal on anything but csv/bin. */
+/** Parse a --format value; usage error on anything but csv/bin. */
 bool
 parseFormatIsBinary(const std::string &value)
 {
     if (value == "bin")
         return true;
-    if (value == "csv")
-        return false;
-    fatal("--format expects 'csv' or 'bin', got '%s'", value.c_str());
+    if (value != "csv")
+        bench::usageError(formatString("--format expects 'csv' or "
+                                       "'bin', got '%s'",
+                                       value.c_str()),
+                          synopsis);
+    return false;
 }
 
 /** Build the recording spec from the positional arguments. */
@@ -117,20 +127,25 @@ main(int argc, char **argv)
         positionalArgs(argc, argv);
     for (size_t i = 0; i < remaining.size(); ++i) {
         const std::string &arg = remaining[i];
-        if (arg == "--format") {
+        if (arg == "--help" || arg == "-h") {
+            std::printf("%s\n", synopsis);
+            return 0;
+        } else if (arg == "--format") {
             if (i + 1 >= remaining.size())
-                fatal("--format expects 'csv' or 'bin'");
+                usageError("--format expects 'csv' or 'bin'", synopsis);
             binary = parseFormatIsBinary(remaining[++i]);
         } else if (arg.rfind("--format=", 0) == 0) {
             binary = parseFormatIsBinary(arg.substr(9));
         } else if (arg == "--read") {
             if (i + 1 >= remaining.size())
-                fatal("--read expects a trace file");
+                usageError("--read expects a trace file", synopsis);
             read_path = remaining[++i];
         } else if (arg.rfind("--read=", 0) == 0) {
             read_path = arg.substr(7);
         } else if (arg == "--manifest") {
             manifest_mode = true;
+        } else if (arg.size() > 1 && arg[0] == '-') {
+            usageError("unknown option '" + arg + "'", synopsis);
         } else {
             args.push_back(arg);
         }
@@ -189,8 +204,12 @@ main(int argc, char **argv)
         const RunSpec spec = specFromArgs(args);
 
         // Validate the workload name before burning simulation time.
-        if (spec.instances > 0)
-            findWorkloadProfile(spec.workload);
+        const std::vector<std::string> names = workloadProfileNames();
+        if (spec.workload != "idle" &&
+            std::find(names.begin(), names.end(), spec.workload) ==
+                names.end())
+            usageError("unknown workload '" + spec.workload + "'",
+                       synopsis);
 
         std::fprintf(stderr,
                      "recording %s x%d for %.0fs (stagger %.0fs, seed "

@@ -3,7 +3,7 @@
  * Hardened atomic file publication.
  *
  * Every on-disk artefact this library publishes (trace-cache
- * entries, span traces, run manifests, journal snapshots) must obey
+ * entries, span traces, run manifests, stream checkpoints) must obey
  * the same contract: a reader either sees the complete previous
  * version or the complete new version, never a torn intermediate,
  * even across a crash or power loss. Plain tmp+rename gives
@@ -22,12 +22,13 @@
  * copying the payload into a second temp file *next to* the
  * destination and renaming that, preserving the atomicity contract.
  *
- * A process-global fault hook lets the chaos harness inject the
- * failure modes this hardening exists for - ENOSPC mid-write, a torn
- * (truncated) payload surviving to the rename, a forced EXDEV -
- * without any syscall interposition. The hook must be installed
- * before concurrent publishers start and must itself be thread-safe;
- * with no hook installed the only cost is one relaxed pointer load.
+ * A process-global fault hook lets tests and the stream sweep's
+ * checkpoint phases inject the failure modes this hardening exists
+ * for - ENOSPC mid-write, a torn (truncated) payload surviving to the
+ * rename, a forced EXDEV - without any syscall interposition. The
+ * hook must be installed before concurrent publishers start and must
+ * itself be thread-safe; with no hook installed the only cost is one
+ * relaxed pointer load.
  */
 
 #ifndef TDP_COMMON_ATOMIC_FILE_HH
@@ -39,7 +40,7 @@
 
 namespace tdp {
 
-/** Failure modes the chaos hook can inject into one publish. */
+/** Failure modes the fault hook can inject into one publish. */
 enum class IoFault
 {
     /** Publish normally. */
@@ -63,7 +64,7 @@ enum class IoFault
 };
 
 /**
- * Chaos seam: decides the fate of one publish, keyed by the
+ * Fault seam: decides the fate of one publish, keyed by the
  * destination path. Must be thread-safe; installed process-wide.
  */
 using IoFaultHook = std::function<IoFault(const std::string &path)>;
@@ -75,7 +76,7 @@ using IoFaultHook = std::function<IoFault(const std::string &path)>;
  */
 void setIoFaultHook(IoFaultHook hook);
 
-/** True when a fault hook is installed (chaos/test builds only). */
+/** True when a fault hook is installed (fault-injection runs only). */
 bool ioFaultHookInstalled();
 
 /** Options for writeFileAtomic. */

@@ -16,7 +16,6 @@
 #include "common/logging.hh"
 #include "obs/span_tracer.hh"
 #include "obs/stats_registry.hh"
-#include "resilience/shutdown.hh"
 
 namespace tdp {
 
@@ -118,129 +117,6 @@ ExperimentPool::forEach(size_t n,
 
     if (first_error)
         std::rethrow_exception(first_error);
-}
-
-ExperimentPool::BatchReport
-ExperimentPool::forEachResilient(
-    size_t n, const std::function<void(size_t, TaskContext &)> &fn,
-    const TaskOptions &options) const
-{
-    options.retry.validate();
-    BatchReport report;
-    if (n == 0)
-        return report;
-
-    resilience::TaskWatchdog watchdog;
-    std::atomic<uint64_t> attempts{0}, retries{0}, timeouts{0},
-        completed{0};
-    std::mutex quarantine_mutex;
-    std::vector<std::pair<size_t, std::string>> quarantined;
-
-    auto emit = [&](TaskEvent::Kind kind, size_t task, int attempt,
-                    std::string detail) {
-        if (!options.observer)
-            return;
-        TaskEvent event;
-        event.kind = kind;
-        event.task = task;
-        event.attempt = attempt;
-        event.detail = std::move(detail);
-        options.observer(event);
-    };
-
-    auto runTask = [&](size_t i) {
-        const uint64_t key = options.taskKey ? options.taskKey(i)
-                                             : static_cast<uint64_t>(i);
-        std::string last_error = "unknown failure";
-        for (int attempt = 1; attempt <= options.retry.maxAttempts;
-             ++attempt) {
-            attempts.fetch_add(1, std::memory_order_relaxed);
-            if (attempt > 1)
-                retries.fetch_add(1, std::memory_order_relaxed);
-            emit(TaskEvent::Kind::Started, i, attempt, "");
-
-            resilience::CancelToken token;
-            TaskContext ctx;
-            ctx.attempt = attempt;
-            ctx.cancel = &token;
-            auto lease = watchdog.watch(options.timeout, &token);
-            try {
-                fn(i, ctx);
-                const bool overran = lease.timedOut();
-                if (overran) {
-                    // The attempt finished anyway; accept the result
-                    // (threads cannot be killed) but keep the
-                    // overrun visible in the accounting.
-                    timeouts.fetch_add(1, std::memory_order_relaxed);
-                }
-                completed.fetch_add(1, std::memory_order_relaxed);
-                emit(TaskEvent::Kind::Succeeded, i, attempt,
-                     overran ? "past-deadline" : "");
-                return;
-            } catch (const std::exception &err) {
-                const bool timed_out = lease.timedOut();
-                if (timed_out)
-                    timeouts.fetch_add(1, std::memory_order_relaxed);
-                last_error = err.what();
-                emit(timed_out ? TaskEvent::Kind::TimedOut
-                               : TaskEvent::Kind::Failed,
-                     i, attempt, last_error);
-            }
-
-            if (attempt < options.retry.maxAttempts) {
-                const Seconds delay =
-                    options.retry.delayFor(attempt, key);
-                if (delay > 0.0 && !resilience::shutdownRequested())
-                    std::this_thread::sleep_for(
-                        std::chrono::microseconds(
-                            static_cast<int64_t>(delay * 1e6)));
-            }
-        }
-        {
-            std::lock_guard<std::mutex> lock(quarantine_mutex);
-            quarantined.emplace_back(i, last_error);
-        }
-        emit(TaskEvent::Kind::Quarantined, i,
-             options.retry.maxAttempts, last_error);
-    };
-
-    std::atomic<size_t> cursor{0};
-    std::atomic<size_t> claimed{0};
-    auto worker = [&] {
-        while (!resilience::shutdownRequested()) {
-            const size_t i = cursor.fetch_add(1);
-            if (i >= n)
-                return;
-            claimed.fetch_add(1, std::memory_order_relaxed);
-            runTask(i);
-        }
-    };
-
-    const size_t workers = std::min(static_cast<size_t>(jobs_), n);
-    if (workers <= 1) {
-        worker();
-    } else {
-        std::vector<std::thread> threads;
-        threads.reserve(workers - 1);
-        for (size_t w = 1; w < workers; ++w)
-            threads.emplace_back(worker);
-        worker();
-        for (std::thread &t : threads)
-            t.join();
-    }
-
-    report.attempts = attempts.load();
-    report.retries = retries.load();
-    report.timeouts = timeouts.load();
-    report.completed = completed.load();
-    report.aborted = n - claimed.load();
-    report.shutdownDrained = resilience::shutdownRequested();
-    std::sort(quarantined.begin(), quarantined.end());
-    for (auto &[task, reason] : quarantined) {
-        report.quarantined.push_back(task);
-        report.quarantineReasons.push_back(std::move(reason));
-    }
-    return report;
 }
 
 } // namespace tdp

@@ -24,15 +24,8 @@
 #define TDP_EXP_EXPERIMENT_POOL_HH
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <string>
-#include <utility>
 #include <vector>
-
-#include "common/units.hh"
-#include "resilience/retry.hh"
-#include "resilience/watchdog.hh"
 
 namespace tdp {
 
@@ -78,117 +71,6 @@ class ExperimentPool
         forEach(n, [&](size_t i) { results[i] = fn(i); });
         return results;
     }
-
-    /** Context handed to a resilient task attempt. */
-    struct TaskContext
-    {
-        /** Attempt number, 1-based. */
-        int attempt = 1;
-
-        /** Watchdog cancellation token; poll in long loops. */
-        resilience::CancelToken *cancel = nullptr;
-    };
-
-    /** One observable transition in a resilient batch. */
-    struct TaskEvent
-    {
-        enum class Kind
-        {
-            Started,
-            Succeeded,
-            Failed,
-            TimedOut,
-            Quarantined,
-        };
-        Kind kind = Kind::Started;
-        size_t task = 0;
-        int attempt = 1;
-
-        /** Failure reason / outcome note (may be empty). */
-        std::string detail;
-    };
-
-    /** Knobs of the resilient task path. */
-    struct TaskOptions
-    {
-        /**
-         * Per-attempt watchdog deadline (s); <= 0 disables the
-         * watchdog. Cancellation is cooperative: an attempt that
-         * never polls its token still runs to completion, but the
-         * timeout is counted and the attempt treated as failed if it
-         * threw (or accepted, with the overrun noted, if it
-         * succeeded).
-         */
-        Seconds timeout = 0.0;
-
-        /** Bounded retry with deterministic backoff jitter. */
-        resilience::RetryPolicy retry;
-
-        /**
-         * Stable identity of a task for the jitter/chaos hash
-         * streams; defaults to the task index. Give fingerprints
-         * here so decisions survive re-batching on resume.
-         */
-        std::function<uint64_t(size_t)> taskKey;
-
-        /**
-         * State-transition observer (journal hook). Called from
-         * worker threads; must be thread-safe.
-         */
-        std::function<void(const TaskEvent &)> observer;
-    };
-
-    /** Outcome accounting of one resilient batch. */
-    struct BatchReport
-    {
-        /** Attempts started (>= tasks run). */
-        uint64_t attempts = 0;
-
-        /** Attempts that were retries (attempt >= 2). */
-        uint64_t retries = 0;
-
-        /** Watchdog deadline overruns observed. */
-        uint64_t timeouts = 0;
-
-        /** Tasks that completed successfully. */
-        uint64_t completed = 0;
-
-        /** Tasks never started: shutdown drained them. */
-        uint64_t aborted = 0;
-
-        /** Tasks that exhausted retries, in index order. */
-        std::vector<size_t> quarantined;
-
-        /** Last failure reason per quarantined task (parallel). */
-        std::vector<std::string> quarantineReasons;
-
-        /** True when a shutdown request stopped the batch early. */
-        bool shutdownDrained = false;
-
-        /** True when every task completed. */
-        bool
-        allCompleted(size_t n) const
-        {
-            return completed == n;
-        }
-    };
-
-    /**
-     * Run fn(i, ctx) for every i in [0, n) with per-task watchdog
-     * deadlines, bounded retry with exponential backoff +
-     * deterministic jitter, and quarantine for tasks that exhaust
-     * their attempts - one pathological task cannot wedge or abort
-     * the batch. Honors graceful shutdown: once
-     * resilience::shutdownRequested() is set, no new task starts,
-     * in-flight tasks drain, and the report says what was left.
-     * Unlike forEach, failures never rethrow; the report carries
-     * them. Determinism: fn sees only (i, ctx), never worker
-     * identity, so results match the serial path bit for bit.
-     */
-    BatchReport forEachResilient(
-        size_t n,
-        const std::function<void(size_t, TaskContext &)> &fn,
-        const TaskOptions &options) const;
 
   private:
     int jobs_;

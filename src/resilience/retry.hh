@@ -2,58 +2,27 @@
  * @file
  * Bounded retry with exponential backoff and deterministic jitter.
  *
- * Transient failures (a worker task killed by the chaos harness, an
- * injected ENOSPC on a cache publish, an EIO on a journal read) are
- * retried a bounded number of times with exponentially growing
- * delays. The jitter that decorrelates retry storms is *derived*,
- * not drawn: a hash of (policy seed, task key, attempt) scales each
- * delay, so two runs of the same sweep back off identically and a
- * retried batch stays bit-reproducible - the same discipline the
- * FaultInjector applies to measurement faults.
+ * Transient I/O failures (a trace-cache entry that momentarily cannot
+ * be opened, an ENOSPC on a cache publish) are retried a bounded
+ * number of times with exponentially growing delays. The jitter that
+ * decorrelates retry storms is *derived*, not drawn: a hash of
+ * (policy seed, key, attempt) scales each delay, so two runs back off
+ * identically - the same discipline the FaultInjector applies to
+ * measurement faults. The hash primitive is shared with the stream
+ * drivers' deterministic per-client fault decisions.
  */
 
 #ifndef TDP_RESILIENCE_RETRY_HH
 #define TDP_RESILIENCE_RETRY_HH
 
 #include <cstdint>
-#include <stdexcept>
-#include <string>
 
 #include "common/units.hh"
 
 namespace tdp {
 namespace resilience {
 
-/**
- * A failure expected to succeed on retry (worker killed, resource
- * momentarily exhausted). The resilient task path retries any
- * exception, but chaos and I/O layers throw this type so logs can
- * distinguish injected transients from genuine bugs.
- */
-class TransientError : public std::runtime_error
-{
-  public:
-    explicit TransientError(const std::string &msg)
-        : std::runtime_error(msg)
-    {
-    }
-};
-
-/**
- * Thrown by a cooperative task that observed its cancellation token
- * after the watchdog fired; the pool records the attempt as a
- * timeout rather than a generic failure.
- */
-class CancelledError : public std::runtime_error
-{
-  public:
-    explicit CancelledError(const std::string &msg)
-        : std::runtime_error(msg)
-    {
-    }
-};
-
-/** Bounded-retry shape shared by the pool and the I/O layers. */
+/** Bounded-retry shape of the I/O layers. */
 struct RetryPolicy
 {
     /** Total attempts including the first (>= 1). */
@@ -98,9 +67,9 @@ struct RetryPolicy
 };
 
 /**
- * Stateless splitmix64-style hash used for jitter and chaos
- * decisions; exposed so every deterministic coin-flip in the
- * resilience layer draws from one audited primitive.
+ * Stateless splitmix64-style hash used for jitter and for the
+ * deterministic fault decisions of the stream drivers; exposed so
+ * every deterministic coin-flip draws from one audited primitive.
  */
 uint64_t mixHash(uint64_t a, uint64_t b, uint64_t c);
 

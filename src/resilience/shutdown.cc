@@ -15,17 +15,15 @@ namespace resilience {
 namespace {
 
 std::atomic<bool> requested{false};
-std::atomic<int> signalSeen{0};
 std::atomic<bool> installed{false};
 
 std::atomic<bool> dumpPending{false};
 std::atomic<bool> dumpInstalled{false};
 
 extern "C" void
-onShutdownSignal(int signum)
+onShutdownSignal(int)
 {
-    // Async-signal-safe: atomic stores only.
-    signalSeen.store(signum, std::memory_order_relaxed);
+    // Async-signal-safe: atomic store only; the owner polls.
     requested.store(true, std::memory_order_relaxed);
 }
 
@@ -58,25 +56,6 @@ shutdownRequested()
 }
 
 void
-requestShutdown()
-{
-    requested.store(true, std::memory_order_relaxed);
-}
-
-void
-resetShutdownForTest()
-{
-    requested.store(false, std::memory_order_relaxed);
-    signalSeen.store(0, std::memory_order_relaxed);
-}
-
-int
-shutdownSignal()
-{
-    return signalSeen.load(std::memory_order_relaxed);
-}
-
-void
 installDumpSignalHandler()
 {
     if (dumpInstalled.exchange(true))
@@ -92,12 +71,6 @@ bool
 dumpRequested()
 {
     return dumpPending.load(std::memory_order_relaxed);
-}
-
-void
-requestDump()
-{
-    dumpPending.store(true, std::memory_order_relaxed);
 }
 
 void

@@ -2,13 +2,12 @@
  * @file
  * Graceful-shutdown coordination.
  *
- * A long calibration sweep receiving SIGINT/SIGTERM (preemption, a
- * CI timeout, an operator Ctrl-C) should not vanish mid-write: the
- * handler only sets a flag; the experiment pool stops claiming new
- * tasks, in-flight tasks drain, the journal and partial manifest are
- * flushed, and the process exits with a distinct code
- * (cleanAbortExitCode) so callers can tell "aborted cleanly, resume
- * me" from both success and crash.
+ * A long stream sweep receiving SIGINT/SIGTERM (preemption, a CI
+ * timeout, an operator Ctrl-C) should not vanish mid-write: the
+ * handler only sets a flag; the driver polls it at a tick boundary,
+ * flushes its partial manifest, timeline and final checkpoint, and
+ * exits with a distinct code (cleanAbortExitCode) so callers can
+ * tell "aborted cleanly" from both success and crash.
  */
 
 #ifndef TDP_RESILIENCE_SHUTDOWN_HH
@@ -18,7 +17,7 @@ namespace tdp {
 namespace resilience {
 
 /**
- * Exit code of a drained, journal-flushed abort. Distinct from 0
+ * Exit code of a drained, flushed abort. Distinct from 0
  * (success), 1 (fatal error) and 128+signum (unhandled signal).
  */
 constexpr int cleanAbortExitCode = 113;
@@ -29,20 +28,8 @@ constexpr int cleanAbortExitCode = 113;
  */
 void installShutdownHandler();
 
-/** True once a shutdown was requested (signal or programmatic). */
+/** True once SIGINT or SIGTERM was received. */
 bool shutdownRequested();
-
-/** Raise the shutdown flag programmatically (chaos abort, tests). */
-void requestShutdown();
-
-/** Lower the flag; tests only. */
-void resetShutdownForTest();
-
-/**
- * The signal number that triggered the shutdown, or 0 when the
- * request was programmatic / none happened.
- */
-int shutdownSignal();
 
 /**
  * Install the SIGUSR2 handler (idempotent). Same async-signal-safe
@@ -52,11 +39,8 @@ int shutdownSignal();
  */
 void installDumpSignalHandler();
 
-/** True while a telemetry dump is pending (SIGUSR2 or programmatic). */
+/** True while a SIGUSR2 telemetry dump is pending. */
 bool dumpRequested();
-
-/** Raise the dump flag programmatically (tests, tooling). */
-void requestDump();
 
 /** Lower the dump flag once the dump has been written. */
 void clearDumpRequest();

@@ -43,8 +43,8 @@ class TraceCache
   public:
     /**
      * Lookup/store outcome counters since construction. Atomic
-     * fields: the resilient orchestration path stores entries from
-     * pool workers concurrently.
+     * fields: runTraces stores entries from pool workers
+     * concurrently.
      */
     struct Stats
     {

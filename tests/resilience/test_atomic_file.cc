@@ -2,7 +2,7 @@
  * @file
  * writeFileAtomic: publish/replace semantics, failure containment
  * (an aborted publish must never leave the destination torn), and
- * the injected-fault paths the chaos harness drives - ENOSPC, torn
+ * the injected-fault paths the fault hook drives - ENOSPC, torn
  * writes behind a successful rename, and the EXDEV copy fallback.
  */
 

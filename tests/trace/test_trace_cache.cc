@@ -2,17 +2,25 @@
  * @file
  * Trace cache behaviour: content-addressed key sensitivity (every
  * simulation input must change the fingerprint), hit/miss/store
- * mechanics, and the graceful fall-back to re-simulation when an
- * entry is truncated or bit-flipped on disk.
+ * mechanics, the graceful fall-back to re-simulation when an
+ * entry is truncated or bit-flipped on disk, and crash safety: a
+ * batch killed midway keeps every trace it finished.
  */
 
+#include <signal.h>
+#include <sys/wait.h>
 #include <unistd.h>
+
+#include <chrono>
 
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -316,6 +324,132 @@ TEST_F(TraceCacheTest, CachedTraceBitIdenticalForEveryWorkload)
         EXPECT_TRUE(traceBitIdentical(fresh, cached)) << name;
     }
     bench::setTraceCacheRoot("");
+}
+
+uint64_t
+traceDigest(const SampleTrace &trace)
+{
+    std::ostringstream os;
+    writeTraceBinary(os, trace);
+    const std::string bytes = os.str();
+    return fnv1a64(bytes.data(), bytes.size());
+}
+
+std::vector<uint64_t>
+digestsOf(const std::vector<SampleTrace> &traces)
+{
+    std::vector<uint64_t> digests;
+    for (const SampleTrace &trace : traces)
+        digests.push_back(traceDigest(trace));
+    return digests;
+}
+
+/**
+ * Three short runs, then one long enough to still be simulating when
+ * the parent's SIGKILL lands.
+ */
+std::vector<RunSpec>
+killBatch()
+{
+    std::vector<RunSpec> specs;
+    for (const char *workload : {"gcc", "mcf", "mesa"}) {
+        RunSpec spec = bench::characterizationRun(workload);
+        spec.instances = 2;
+        spec.duration = 4.0;
+        spec.skip = 1.0;
+        specs.push_back(spec);
+    }
+    RunSpec last = bench::characterizationRun("art");
+    last.duration = 120.0;
+    last.skip = 1.0;
+    specs.push_back(last);
+    return specs;
+}
+
+/** Published entries under a cache root (temp files excluded). */
+size_t
+entryCount(const fs::path &root)
+{
+    size_t count = 0;
+    std::error_code ec;
+    for (const auto &entry : fs::directory_iterator(root, ec))
+        if (entry.path().extension() == ".tdpt")
+            ++count;
+    return count;
+}
+
+TEST_F(TraceCacheTest, KilledBatchRerunServesFinishedTracesFromCache)
+{
+    using Clock = std::chrono::steady_clock;
+    const std::vector<RunSpec> specs = killBatch();
+    const size_t n = specs.size();
+
+    // Cache-off reference digests, one spec at a time so the long
+    // run's share of the batch time is known.
+    bench::setTraceCacheRoot("");
+    bench::setJobs(1);
+    std::vector<uint64_t> reference;
+    double short_seconds = 0.0;
+    double long_seconds = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+        const auto start = Clock::now();
+        reference.push_back(traceDigest(bench::runTraces({specs[i]})[0]));
+        const std::chrono::duration<double> took = Clock::now() - start;
+        (i + 1 < n ? short_seconds : long_seconds) += took.count();
+    }
+
+    // Flush stdio so the child does not replay buffered output.
+    std::fflush(stdout);
+    std::fflush(stderr);
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        bench::setTraceCacheRoot(root_.string());
+        bench::setJobs(1);
+        bench::runTraces(specs);
+        ::_exit(0);
+    }
+
+    // Kill the child once its first trace is on disk. Give up halfway
+    // through the long run: a batch that stores only at its end has
+    // nothing on disk by then.
+    const auto deadline =
+        Clock::now() +
+        std::chrono::duration_cast<Clock::duration>(
+            std::chrono::duration<double>(short_seconds +
+                                          long_seconds / 2));
+    bool stored = false;
+    while (!(stored = entryCount(root_) > 0) && Clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ::kill(pid, SIGKILL);
+    int status = 0;
+    ::waitpid(pid, &status, 0);
+    ASSERT_TRUE(stored) << "no trace was stored within "
+                        << short_seconds + long_seconds / 2 << " s";
+    ASSERT_TRUE(WIFSIGNALED(status));
+    EXPECT_EQ(WTERMSIG(status), SIGKILL);
+    const size_t entries = entryCount(root_);
+    ASSERT_GE(entries, 1u);
+    ASSERT_LE(entries, n - 1);
+
+    // Re-run the batch at one and at four workers, each against its
+    // own copy of the killed cache: the finished runs are hits, the
+    // rest re-simulate, and every trace matches the reference.
+    const fs::path wide = root_.string() + "-wide";
+    fs::remove_all(wide);
+    fs::copy(root_, wide, fs::copy_options::recursive);
+    for (const auto &[cache, workers] :
+         {std::pair{root_, 1}, std::pair{wide, 4}}) {
+        bench::setTraceCacheRoot(cache.string());
+        bench::setJobs(workers);
+        EXPECT_EQ(digestsOf(bench::runTraces(specs)), reference)
+            << workers << " worker(s)";
+        EXPECT_EQ(bench::traceCache()->stats().hits.load(), entries)
+            << workers << " worker(s)";
+        EXPECT_EQ(entryCount(cache), n) << workers << " worker(s)";
+    }
+    bench::setTraceCacheRoot("");
+    fs::remove_all(wide);
 }
 
 } // namespace
