@@ -11,7 +11,11 @@
 
 #include <benchmark/benchmark.h>
 
-#include "common/gbench_json.hh"
+#include <map>
+#include <string>
+#include <vector>
+
+#include "common/bench_stats.hh"
 #include "common/logging.hh"
 #include "core/estimator.hh"
 #include "core/events.hh"
@@ -143,13 +147,95 @@ BM_TrainQuadraticModel(benchmark::State &state)
 }
 BENCHMARK(BM_TrainQuadraticModel)->Arg(64)->Arg(512)->Arg(4096);
 
+/** Collects per-repetition runs, then prints the console report. */
+class SeriesReporter : public benchmark::ConsoleReporter
+{
+  public:
+    /** name -> counter ("" = per-iteration seconds) -> series. */
+    using Series =
+        std::map<std::string, std::map<std::string, std::vector<double>>>;
+
+    void
+    ReportRuns(const std::vector<Run> &reports) override
+    {
+        for (const Run &run : reports) {
+            if (run.run_type != Run::RT_Iteration)
+                continue; // aggregates are recomputed by the writer
+            auto &by_counter = series_[run.benchmark_name()];
+            if (run.iterations > 0) {
+                by_counter[""].push_back(
+                    run.real_accumulated_time /
+                    static_cast<double>(run.iterations));
+            }
+            for (const auto &[name, counter] : run.counters)
+                by_counter[name].push_back(counter.value);
+            if (order_.empty() ||
+                order_.back() != run.benchmark_name())
+                order_.push_back(run.benchmark_name());
+        }
+        benchmark::ConsoleReporter::ReportRuns(reports);
+    }
+
+    const Series &series() const { return series_; }
+
+    /** Benchmark names in first-reported order. */
+    const std::vector<std::string> &order() const { return order_; }
+
+  private:
+    Series series_;
+    std::vector<std::string> order_;
+};
+
 } // namespace
 
-// Shared gbench main: repetition series land in
-// BENCH_bm_overhead.json. All metrics here are wall-clock, so none
-// are CI-gated - the committed file is a trajectory record only.
+/**
+ * Parse --repetitions, run all benchmarks with that many repetitions,
+ * print the usual console report and write the per-repetition series
+ * to BENCH_bm_overhead.json. All metrics here are wall-clock, so none
+ * are CI-gated - the committed file is a trajectory record only.
+ */
 int
 main(int argc, char **argv)
 {
-    return tdp::bench::runGbenchMain("bm_overhead", argc, argv, {});
+    using namespace tdp::bench;
+
+    setLogLevelFromEnvironment();
+    argc = applyRepetitionsFlag(argc, argv);
+
+    // Re-pack argv with the repetition flags up front; later
+    // user-provided --benchmark_* flags still win (last wins).
+    std::vector<std::string> args;
+    args.push_back(argc > 0 ? argv[0] : "bm_overhead");
+    args.push_back(formatString("--benchmark_repetitions=%d",
+                                benchRepetitions()));
+    args.push_back("--benchmark_report_aggregates_only=false");
+    for (int i = 1; i < argc; ++i)
+        args.push_back(argv[i]);
+    std::vector<char *> cargs;
+    for (std::string &arg : args)
+        cargs.push_back(arg.data());
+    int cargc = static_cast<int>(cargs.size());
+
+    benchmark::Initialize(&cargc, cargs.data());
+    if (benchmark::ReportUnrecognizedArguments(cargc, cargs.data()))
+        return 1;
+
+    SeriesReporter reporter;
+    benchmark::RunSpecifiedBenchmarks(&reporter);
+
+    std::vector<MetricSeries> metrics;
+    for (const std::string &name : reporter.order()) {
+        const auto &by_counter = reporter.series().at(name);
+        for (const auto &[counter, values] : by_counter) {
+            MetricSeries m;
+            m.name = counter.empty() ? name + ".seconds_per_iter"
+                                     : name + "." + counter;
+            m.values = values;
+            m.unit = counter.empty() ? "s" : "";
+            metrics.push_back(std::move(m));
+        }
+    }
+    if (!metrics.empty())
+        writeBenchSeriesJson("bm_overhead", metrics);
+    return 0;
 }

@@ -9,9 +9,11 @@
 #include <chrono>
 #include <cstdio>
 #include <iostream>
+#include <string>
 
 #include "common/logging.hh"
 #include "common/running_stats.hh"
+#include "common/strings.hh"
 #include "common/table.hh"
 #include "core/events.hh"
 #include "workloads/suite.hh"
@@ -57,12 +59,17 @@ main(int argc, char **argv)
 
     std::vector<const Target *> selected;
     std::vector<RunSpec> specs;
+    std::vector<std::string> valid;
     for (const Target &t : targets) {
+        valid.push_back(t.name);
         if (!only.empty() && only != t.name)
             continue;
         selected.push_back(&t);
         specs.push_back(characterizationRun(t.name));
     }
+    if (selected.empty())
+        usageError("unknown workload '" + only +
+                   "' (valid: " + join(valid, ", ") + ")");
 
     const auto t0 = std::chrono::steady_clock::now();
     const std::vector<SampleTrace> traces = runTraces(specs);

@@ -94,21 +94,6 @@ addTrainingSection(const TrainingReport &report)
     }
 }
 
-/**
- * Parse a positive count given to `flag`; usage error on anything
- * else (atoi's 0 for non-numeric text included).
- */
-int
-parsePositiveValue(const char *flag, const char *text)
-{
-    const int parsed = std::atoi(text);
-    if (parsed <= 0)
-        usageError(formatString("%s expects a positive integer, got "
-                                "'%s'",
-                                flag, text));
-    return parsed;
-}
-
 /** The shared flags that take a value. */
 constexpr const char *valueFlags[] = {"--jobs",         "--trace-out",
                                       "--manifest-out", "--timeline-out",
@@ -309,6 +294,17 @@ usageError(const std::string &message, const char *synopsis)
     if (synopsis)
         std::fprintf(stderr, "%s\n", synopsis);
     std::exit(2);
+}
+
+int
+parsePositiveValue(const char *flag, const char *text)
+{
+    const int parsed = std::atoi(text);
+    if (parsed <= 0)
+        usageError(formatString("%s expects a positive integer, got "
+                                "'%s'",
+                                flag, text));
+    return parsed;
 }
 
 void

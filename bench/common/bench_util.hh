@@ -94,6 +94,13 @@ std::vector<std::string> positionalArgs(int argc, char **argv);
 [[noreturn]] void usageError(const std::string &message,
                              const char *synopsis = nullptr);
 
+/**
+ * Parse a positive count given to `flag` (a flag or an environment
+ * variable name); usage error on anything else (atoi's 0 for
+ * non-numeric text included).
+ */
+int parsePositiveValue(const char *flag, const char *text);
+
 /** How a workload is launched for an experiment. */
 struct RunSpec
 {

@@ -53,6 +53,7 @@
 
 #include "common/bench_util.hh"
 #include "common/logging.hh"
+#include "common/strings.hh"
 #include "measure/trace_io.hh"
 #include "resilience/retry.hh"
 #include "resilience/shutdown.hh"
@@ -343,70 +344,56 @@ ScaleOptions
 parseOptions(const std::vector<std::string> &args)
 {
     ScaleOptions opt;
-    if (const char *env = std::getenv("TDP_SCALE_CLIENTS"))
-        opt.clients = std::atoi(env);
-    if (const char *env = std::getenv("TDP_SCALE_ROUNDS"))
-        opt.rounds = std::atoi(env);
-    if (const char *env = std::getenv("TDP_SCALE_SHARDS"))
-        opt.shards = std::atoi(env);
-    if (const char *env = std::getenv("TDP_SCALE_VERIFY_CLIENTS"))
-        opt.verifyClients = std::atoi(env);
+    const auto envCount = [](const char *name, int &out) {
+        if (const char *env = std::getenv(name))
+            out = parsePositiveValue(name, env);
+    };
+    envCount("TDP_SCALE_CLIENTS", opt.clients);
+    envCount("TDP_SCALE_ROUNDS", opt.rounds);
+    envCount("TDP_SCALE_SHARDS", opt.shards);
+    envCount("TDP_SCALE_VERIFY_CLIENTS", opt.verifyClients);
     if (const char *env = std::getenv("TDP_SCALE_SEED"))
         opt.seed = std::strtoull(env, nullptr, 0);
 
-    auto intValue = [&](const std::string &text, const char *flag) {
-        const int value = std::atoi(text.c_str());
-        if (value <= 0)
-            fatal("stream_scale: %s needs a positive integer, got "
-                  "'%s'",
-                  flag, text.c_str());
-        return value;
-    };
     for (size_t i = 0; i < args.size(); ++i) {
+        // Every option is spelt `--flag VALUE` or `--flag=VALUE`.
         const std::string &arg = args[i];
-        auto value = [&](const char *name,
-                         const char *prefix) -> std::string {
-            if (arg.rfind(prefix, 0) == 0)
-                return arg.substr(std::strlen(prefix));
+        const auto is = [&](const std::string &flag) {
+            return arg == flag || startsWith(arg, flag + "=");
+        };
+        const auto value = [&](const std::string &flag) -> std::string {
+            if (arg != flag)
+                return arg.substr(flag.size() + 1);
             if (i + 1 >= args.size())
-                fatal("stream_scale: %s needs a value", name);
+                usageError(flag + " needs a value");
             return args[++i];
         };
-        if (arg == "--clients" || arg.rfind("--clients=", 0) == 0) {
-            opt.clients = intValue(
-                value("--clients", "--clients="), "--clients");
-        } else if (arg == "--rounds" ||
-                   arg.rfind("--rounds=", 0) == 0) {
-            opt.rounds = intValue(value("--rounds", "--rounds="),
-                                  "--rounds");
-        } else if (arg == "--shards" ||
-                   arg.rfind("--shards=", 0) == 0) {
-            opt.shards = intValue(value("--shards", "--shards="),
-                                  "--shards");
-        } else if (arg == "--verify-clients" ||
-                   arg.rfind("--verify-clients=", 0) == 0) {
-            opt.verifyClients = intValue(
-                value("--verify-clients", "--verify-clients="),
-                "--verify-clients");
-        } else if (arg == "--seed" || arg.rfind("--seed=", 0) == 0) {
-            opt.seed = std::strtoull(
-                value("--seed", "--seed=").c_str(), nullptr, 0);
-        } else {
-            fatal("stream_scale: unknown argument '%s'",
-                  arg.c_str());
-        }
+        const auto count = [&](const std::string &flag) {
+            return parsePositiveValue(flag.c_str(), value(flag).c_str());
+        };
+        if (is("--clients"))
+            opt.clients = count("--clients");
+        else if (is("--rounds"))
+            opt.rounds = count("--rounds");
+        else if (is("--shards"))
+            opt.shards = count("--shards");
+        else if (is("--verify-clients"))
+            opt.verifyClients = count("--verify-clients");
+        else if (is("--seed"))
+            opt.seed = std::strtoull(value("--seed").c_str(), nullptr, 0);
+        else
+            usageError("unknown argument '" + arg + "'");
     }
     if (opt.clients < 4096)
-        fatal("stream_scale: --clients %d is below the 4096 floor - "
-              "this bench measures fleet scale; for small-fleet "
-              "correctness sweeps use bench/stream_sweep",
-              opt.clients);
-    if (opt.rounds < 1)
-        fatal("stream_scale: need at least 1 round");
-    if (opt.shards < 1 || opt.shards > 4096)
-        fatal("stream_scale: --shards must be in [1, 4096]");
+        usageError(formatString(
+            "--clients %d is below the 4096 floor - "
+            "this bench measures fleet scale; for small-fleet "
+            "correctness sweeps use bench/stream_sweep",
+            opt.clients));
+    if (opt.shards > 4096)
+        usageError("--shards must be in [1, 4096]");
     if (opt.verifyClients < 256)
-        fatal("stream_scale: --verify-clients must be >= 256");
+        usageError("--verify-clients must be >= 256");
     return opt;
 }
 

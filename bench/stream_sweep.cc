@@ -109,6 +109,7 @@
 #include "common/atomic_file.hh"
 #include "common/bench_util.hh"
 #include "common/logging.hh"
+#include "common/strings.hh"
 #include "measure/trace_io.hh"
 #include "resilience/retry.hh"
 #include "resilience/shutdown.hh"
@@ -793,119 +794,84 @@ SweepOptions
 parseOptions(const std::vector<std::string> &args)
 {
     SweepOptions opt;
-    if (const char *env = std::getenv("TDP_STREAM_CLIENTS"))
-        opt.clients = std::atoi(env);
-    if (const char *env = std::getenv("TDP_STREAM_ROUNDS"))
-        opt.rounds = std::atoi(env);
-    if (const char *env = std::getenv("TDP_STREAM_WINDOW"))
-        opt.windowBlocks = std::atoi(env);
+    const auto envCount = [](const char *name, int &out) {
+        if (const char *env = std::getenv(name))
+            out = parsePositiveValue(name, env);
+    };
+    envCount("TDP_STREAM_CLIENTS", opt.clients);
+    envCount("TDP_STREAM_ROUNDS", opt.rounds);
+    envCount("TDP_STREAM_WINDOW", opt.windowBlocks);
     if (const char *env = std::getenv("TDP_STREAM_SEED"))
         opt.seed = std::strtoull(env, nullptr, 0);
     if (const char *env = std::getenv("TDP_STREAM_CHECKPOINT"))
         opt.checkpointBase = env;
-    if (const char *env =
-            std::getenv("TDP_STREAM_CHECKPOINT_EVERY"))
-        opt.checkpointEvery = std::atoi(env);
+    envCount("TDP_STREAM_CHECKPOINT_EVERY", opt.checkpointEvery);
 
-    auto intValue = [&](const std::string &text, const char *flag) {
-        const int value = std::atoi(text.c_str());
-        if (value <= 0)
-            fatal("stream_sweep: %s needs a positive integer, got "
-                  "'%s'",
-                  flag, text.c_str());
-        return value;
-    };
     for (size_t i = 0; i < args.size(); ++i) {
+        // Every option is spelt `--flag VALUE` or `--flag=VALUE`.
         const std::string &arg = args[i];
-        auto value = [&](const char *name,
-                         const char *prefix) -> std::string {
-            if (arg.rfind(prefix, 0) == 0)
-                return arg.substr(std::strlen(prefix));
+        const auto is = [&](const std::string &flag) {
+            return arg == flag || startsWith(arg, flag + "=");
+        };
+        const auto value = [&](const std::string &flag) -> std::string {
+            if (arg != flag)
+                return arg.substr(flag.size() + 1);
             if (i + 1 >= args.size())
-                fatal("stream_sweep: %s needs a value", name);
+                usageError(flag + " needs a value");
             return args[++i];
         };
-        if (arg == "--clients" || arg.rfind("--clients=", 0) == 0) {
-            opt.clients =
-                intValue(value("--clients", "--clients="),
-                         "--clients");
-        } else if (arg == "--rounds" ||
-                   arg.rfind("--rounds=", 0) == 0) {
-            opt.rounds = intValue(value("--rounds", "--rounds="),
-                                  "--rounds");
-        } else if (arg == "--window" ||
-                   arg.rfind("--window=", 0) == 0) {
-            opt.windowBlocks =
-                intValue(value("--window", "--window="), "--window");
-        } else if (arg == "--seed" || arg.rfind("--seed=", 0) == 0) {
-            opt.seed = std::strtoull(
-                value("--seed", "--seed=").c_str(), nullptr, 0);
-        } else if (arg == "--checkpoint-every" ||
-                   arg.rfind("--checkpoint-every=", 0) == 0) {
-            opt.checkpointEvery = intValue(
-                value("--checkpoint-every", "--checkpoint-every="),
-                "--checkpoint-every");
-        } else if (arg == "--checkpoint" ||
-                   arg.rfind("--checkpoint=", 0) == 0) {
-            opt.checkpointBase =
-                value("--checkpoint", "--checkpoint=");
+        const auto count = [&](const std::string &flag) {
+            return parsePositiveValue(flag.c_str(), value(flag).c_str());
+        };
+        if (is("--clients")) {
+            opt.clients = count("--clients");
+        } else if (is("--rounds")) {
+            opt.rounds = count("--rounds");
+        } else if (is("--window")) {
+            opt.windowBlocks = count("--window");
+        } else if (is("--seed")) {
+            opt.seed = std::strtoull(value("--seed").c_str(), nullptr, 0);
+        } else if (is("--checkpoint-every")) {
+            opt.checkpointEvery = count("--checkpoint-every");
+        } else if (is("--checkpoint")) {
+            opt.checkpointBase = value("--checkpoint");
             if (opt.checkpointBase.empty())
-                fatal("stream_sweep: --checkpoint needs a non-empty "
-                      "base path");
-        } else if (arg == "--restore" ||
-                   arg.rfind("--restore=", 0) == 0) {
-            opt.restoreBase = value("--restore", "--restore=");
+                usageError("--checkpoint needs a non-empty base path");
+        } else if (is("--restore")) {
+            opt.restoreBase = value("--restore");
             if (opt.restoreBase.empty())
-                fatal("stream_sweep: --restore needs a non-empty "
-                      "base path");
-        } else if (arg == "--stream" ||
-                   arg.rfind("--stream=", 0) == 0) {
+                usageError("--restore needs a non-empty base path");
+        } else if (is("--stream")) {
             opt.phases.clear();
-            std::string list = value("--stream", "--stream=");
-            size_t start = 0;
-            while (start <= list.size()) {
-                const size_t comma = list.find(',', start);
-                const std::string phase = list.substr(
-                    start, comma == std::string::npos
-                               ? std::string::npos
-                               : comma - start);
-                if (!phase.empty()) {
-                    bool known = false;
-                    for (const std::string &p : allPhases)
-                        known = known || p == phase;
-                    if (!known)
-                        fatal("stream_sweep: unknown phase '%s'",
-                              phase.c_str());
-                    opt.phases.push_back(phase);
-                }
-                if (comma == std::string::npos)
-                    break;
-                start = comma + 1;
+            for (const std::string &phase : split(value("--stream"), ',')) {
+                if (phase.empty())
+                    continue;
+                if (std::find(allPhases.begin(), allPhases.end(),
+                              phase) == allPhases.end())
+                    usageError("unknown phase '" + phase + "'");
+                opt.phases.push_back(phase);
             }
             if (opt.phases.empty())
-                fatal("stream_sweep: --stream selected no phases");
+                usageError("--stream selected no phases");
         } else {
-            fatal("stream_sweep: unknown argument '%s'",
-                  arg.c_str());
+            usageError("unknown argument '" + arg + "'");
         }
     }
     if (opt.clients < 2)
-        fatal("stream_sweep: need at least 2 clients");
+        usageError("need at least 2 clients");
     if (opt.clients > maxSweepClients)
-        fatal("stream_sweep: --clients %d exceeds the %d ceiling. "
-              "This sweep replays every workload/phase pair twice "
-              "(serial + parallel reference) with refit "
-              "verification on, so large fleets multiply into hours "
-              "- for fleet-scale ingest measurements use "
-              "bench/stream_scale, which drives millions of "
-              "clients through the same service once per "
-              "repetition",
-              opt.clients, maxSweepClients);
+        usageError(formatString(
+            "--clients %d exceeds the %d ceiling. "
+            "This sweep replays every workload/phase pair twice "
+            "(serial + parallel reference) with refit "
+            "verification on, so large fleets multiply into hours "
+            "- for fleet-scale ingest measurements use "
+            "bench/stream_scale, which drives millions of "
+            "clients through the same service once per "
+            "repetition",
+            opt.clients, maxSweepClients));
     if (opt.rounds < 8)
-        fatal("stream_sweep: need at least 8 rounds");
-    if (opt.checkpointEvery <= 0)
-        fatal("stream_sweep: --checkpoint-every needs a positive "
-              "tick count");
+        usageError("need at least 8 rounds");
     return opt;
 }
 

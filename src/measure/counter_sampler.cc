@@ -31,8 +31,8 @@ CounterSampler::startup()
 {
     // Arming read at t=0: clears the counters and emits the first
     // sync pulse so the first real sample covers a clean window.
-    system().events().scheduleFn(name() + ".arm", system().now(),
-                                 [this] { takeSample(); });
+    system().events().schedule(name() + ".arm", system().now(),
+                               [this] { takeSample(); });
 }
 
 void
@@ -41,9 +41,9 @@ CounterSampler::scheduleNext()
     const Seconds jitter =
         rng_.uniform(-params_.jitter, params_.jitter);
     const Tick delta = secondsToTicks(params_.period + jitter);
-    system().events().scheduleFn(name() + ".sample",
-                                 system().now() + delta,
-                                 [this] { takeSample(); });
+    system().events().schedule(name() + ".sample",
+                               system().now() + delta,
+                               [this] { takeSample(); });
 }
 
 void

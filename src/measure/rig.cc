@@ -92,7 +92,7 @@ MeasurementRig::deliverPulse()
         daq_.syncPulse();
         return;
     }
-    system().events().scheduleFn(
+    system().events().schedule(
         name() + ".pulse", system().now() + secondsToTicks(latency),
         [this] { daq_.syncPulse(); });
 }

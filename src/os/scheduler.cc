@@ -45,7 +45,7 @@ void
 Scheduler::launchAt(ThreadContext *thread, Seconds when)
 {
     attach(thread);
-    system().events().scheduleFn(
+    system().events().schedule(
         name() + ".launch." + thread->threadName(), secondsToTicks(when),
         [thread] {
             if (thread->state() == ThreadState::NotStarted)

@@ -1,109 +1,64 @@
 /**
  * @file
- * Implementation of the discrete-event queue: the out-of-line pieces
- * of the hot path (heap sifts, pool growth) and the cold error paths.
+ * Implementation of the discrete-event queue.
  */
 
 #include "sim/event_queue.hh"
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include "common/logging.hh"
 
 namespace tdp {
 
-void
-EventQueue::pastScheduleError(std::string_view name, Tick when) const
+bool
+EventQueue::firesAfter(const Entry &a, const Entry &b)
 {
-    panic("EventQueue::schedule: event '%s' scheduled at %llu, "
-          "before current tick %llu",
-          std::string(name).c_str(),
-          static_cast<unsigned long long>(when),
-          static_cast<unsigned long long>(now_));
+    if (a.when != b.when)
+        return a.when > b.when;
+    return a.sequence > b.sequence;
 }
 
 void
-EventQueue::emptyQueueError(const char *what) const
+EventQueue::schedule(std::string_view name, Tick when,
+                     std::function<void()> fn)
 {
-    panic("EventQueue::%s on empty queue", what);
-}
-
-// 4-ary implicit heap: children of i are 4i+1..4i+4. Half the depth
-// of a binary heap, and the four siblings compared per sift-down sit
-// in adjacent cache lines. Entries are trivially copyable, so every
-// move below is a plain 32-byte copy.
-
-void
-EventQueue::siftUp(size_t hole)
-{
-    const Entry entry = heap_[hole];
-    while (hole > 0) {
-        const size_t parent = (hole - 1) / 4;
-        if (!after(heap_[parent], entry))
-            break;
-        heap_[hole] = heap_[parent];
-        hole = parent;
-    }
-    heap_[hole] = entry;
-}
-
-void
-EventQueue::siftDown(size_t hole)
-{
-    const size_t n = heap_.size();
-    const Entry entry = heap_[hole];
-    for (;;) {
-        const size_t first = hole * 4 + 1;
-        if (first >= n)
-            break;
-        const size_t limit = std::min(first + 4, n);
-        size_t best = first;
-        for (size_t c = first + 1; c < limit; ++c) {
-            if (after(heap_[best], heap_[c]))
-                best = c;
-        }
-        if (!after(entry, heap_[best]))
-            break;
-        heap_[hole] = heap_[best];
-        hole = best;
-    }
-    heap_[hole] = entry;
-}
-
-int32_t
-EventQueue::growPool()
-{
-    pool_.push_back(std::make_unique<LambdaEvent>());
-    ++slotsAllocated_;
-    return static_cast<int32_t>(pool_.size() - 1);
-}
-
-void
-EventQueue::schedule(std::unique_ptr<Event> ev, Tick when, int priority)
-{
-    if (!ev)
-        panic("EventQueue::schedule: null event");
     if (when < now_)
-        pastScheduleError(ev->name(), when);
-    int32_t idx;
-    if (freeOwned_.empty()) {
-        idx = static_cast<int32_t>(owned_.size());
-        owned_.push_back(std::move(ev));
-    } else {
-        idx = freeOwned_.back();
-        freeOwned_.pop_back();
-        owned_[static_cast<size_t>(idx)] = std::move(ev);
-    }
-    push(Entry{when, priority, -1 - idx, nextSequence_++,
-               owned_[static_cast<size_t>(idx)].get()});
+        panic("EventQueue::schedule: event '%s' scheduled at %llu, "
+              "before current tick %llu",
+              std::string(name).c_str(),
+              static_cast<unsigned long long>(when),
+              static_cast<unsigned long long>(now_));
+    if (!fn)
+        panic("EventQueue::schedule: event '%s' has no callback",
+              std::string(name).c_str());
+    heap_.push_back(Entry{when, nextSequence_++, std::move(fn)});
+    std::push_heap(heap_.begin(), heap_.end(), firesAfter);
 }
 
 Tick
 EventQueue::nextTick() const
 {
     if (heap_.empty())
-        emptyQueueError("nextTick");
+        panic("EventQueue::nextTick on empty queue");
     return heap_.front().when;
+}
+
+void
+EventQueue::step()
+{
+    if (heap_.empty())
+        panic("EventQueue::step on empty queue");
+    // pop_heap moves the earliest entry to the back, where it can be
+    // moved out: the callback may schedule into heap_ while it runs.
+    std::pop_heap(heap_.begin(), heap_.end(), firesAfter);
+    Entry entry = std::move(heap_.back());
+    heap_.pop_back();
+    now_ = entry.when;
+    ++processed_;
+    entry.fn();
 }
 
 void

@@ -2,23 +2,10 @@
  * @file
  * Discrete-event queue for the simulation kernel.
  *
- * Events fire in (tick, priority, insertion-order) order, so
- * simultaneous events are deterministic. Components either subclass
- * Event or schedule a LambdaEvent.
- *
- * The hot path is allocation-free in steady state and avoids the
- * abstraction overhead the seed implementation paid per event:
- *  - heap entries are 32-byte trivially-copyable values in a 4-ary
- *    implicit heap (no shared_ptr control blocks; sifts are plain
- *    copies and the wider node halves the tree depth);
- *  - scheduleFn() recycles LambdaEvent slots through a free list, and
- *    each slot stores its callable in a fixed 48-byte inline buffer
- *    (SlotCallback) instead of a std::function, so rebinding a slot
- *    is a placement-new, not a type-erased manager round trip;
- *  - externally-owned events live in a side pool with its own free
- *    list so the heap itself never owns anything.
- * A simulation that schedules and fires events at a bounded rate
- * reaches a fixed pool size and stops touching the allocator.
+ * Events fire in (tick, insertion-order) order, so simultaneous
+ * events are deterministic. The queue carries only the sparse work
+ * between activity quanta (1 Hz sampler reads, DAQ sync pulses,
+ * thread launches), so it is a plain binary min-heap of callbacks.
  */
 
 #ifndef TDP_SIM_EVENT_QUEUE_HH
@@ -26,197 +13,25 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <new>
-#include <string>
+#include <functional>
 #include <string_view>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "common/units.hh"
 
 namespace tdp {
 
-/**
- * A schedulable unit of work. Ownership stays with the queue once
- * scheduled; process() runs exactly once per scheduling.
- */
-class Event
-{
-  public:
-    /** @param name diagnostic label shown in traces and errors. */
-    explicit Event(std::string name) : name_(std::move(name)) {}
-
-    virtual ~Event() = default;
-
-    /** Perform the event's work at its scheduled tick. */
-    virtual void process() = 0;
-
-    /** Diagnostic label. */
-    const std::string &name() const { return name_; }
-
-  protected:
-    /** Replace the label; used by recyclable subclasses. */
-    void rename(std::string name) { name_ = std::move(name); }
-
-    /**
-     * Same, without materialising a temporary std::string. Recycled
-     * slots usually get the same label back (self-rescheduling
-     * timers), so an equality check beats an unconditional assign.
-     */
-    void
-    rename(std::string_view name)
-    {
-        if (name_ != name)
-            name_.assign(name.data(), name.size());
-    }
-
-  private:
-    std::string name_;
-};
-
-/**
- * Move-nothing callable holder for pooled event slots. Slots have
- * stable addresses (the pool holds them by unique_ptr), so the holder
- * only needs emplace / invoke / reset — no move support and no
- * std::function manager machinery. Callables up to inlineSize bytes
- * live in the inline buffer; larger ones fall back to the heap.
- */
-class SlotCallback
-{
-  public:
-    /** Covers every capture list the simulator uses today. */
-    static constexpr size_t inlineSize = 48;
-
-    SlotCallback() = default;
-    ~SlotCallback() { reset(); }
-
-    SlotCallback(const SlotCallback &) = delete;
-    SlotCallback &operator=(const SlotCallback &) = delete;
-
-    /** Destroy any held callable and store a new one. */
-    template <typename Fn>
-    void
-    emplace(Fn &&fn)
-    {
-        using T = std::decay_t<Fn>;
-        reset();
-        if constexpr (sizeof(T) <= inlineSize &&
-                      alignof(T) <= alignof(std::max_align_t)) {
-            target_ = new (buf_) T(std::forward<Fn>(fn));
-            invoke_ = [](void *p) { (*static_cast<T *>(p))(); };
-            // Trivially destructible callables (the common case) need
-            // no teardown at all; reset() becomes two pointer writes.
-            if constexpr (!std::is_trivially_destructible_v<T>)
-                destroy_ = [](void *p) { static_cast<T *>(p)->~T(); };
-        } else {
-            target_ = new T(std::forward<Fn>(fn));
-            invoke_ = [](void *p) { (*static_cast<T *>(p))(); };
-            destroy_ = [](void *p) { delete static_cast<T *>(p); };
-        }
-    }
-
-    void operator()() { invoke_(target_); }
-
-    /** Drop the held callable (and anything it captured). */
-    void
-    reset()
-    {
-        if (destroy_)
-            destroy_(target_);
-        destroy_ = nullptr;
-        invoke_ = nullptr;
-    }
-
-    explicit operator bool() const { return invoke_ != nullptr; }
-
-  private:
-    alignas(std::max_align_t) unsigned char buf_[inlineSize];
-    void *target_ = nullptr;
-    void (*invoke_)(void *) = nullptr;
-    void (*destroy_)(void *) = nullptr;
-};
-
-/**
- * Event wrapping an arbitrary callable. Final so the queue's pooled
- * dispatch path is a direct (devirtualised) call.
- */
-class LambdaEvent final : public Event
-{
-  public:
-    /** An unarmed slot; rebind() before scheduling. */
-    LambdaEvent() : Event(std::string()) {}
-
-    template <typename Fn>
-    LambdaEvent(std::string name, Fn &&fn) : Event(std::move(name))
-    {
-        fn_.emplace(std::forward<Fn>(fn));
-    }
-
-    void process() override { fn_(); }
-
-    /** Re-arm a recycled slot with a new label and callable. */
-    template <typename Fn>
-    void
-    rebind(std::string_view name, Fn &&fn)
-    {
-        rename(name);
-        fn_.emplace(std::forward<Fn>(fn));
-    }
-
-    /** Drop the callable (and anything it captured) after firing. */
-    void release() { fn_.reset(); }
-
-  private:
-    SlotCallback fn_;
-};
-
-/**
- * Priority queue of events ordered by tick, then priority, then
- * insertion order. Lower priority values fire first within a tick.
- */
+/** Callbacks ordered by tick, then by the order they were scheduled. */
 class EventQueue
 {
   public:
-    /** Default priority for ordinary events. */
-    static constexpr int defaultPriority = 100;
-
     /**
-     * Schedule an event at an absolute tick. Scheduling in the past
-     * (before the current tick) is a bug and panics.
+     * Schedule a callback at an absolute tick. Scheduling in the past
+     * (before the current tick) or an empty callback is a bug and
+     * panics; `name` labels the event in that panic.
      */
-    void schedule(std::unique_ptr<Event> ev, Tick when,
-                  int priority = defaultPriority);
-
-    /**
-     * Schedule a callable at an absolute tick. The callable runs on a
-     * pooled LambdaEvent slot that is recycled after it fires, so
-     * steady-state scheduling does not allocate (beyond what captures
-     * larger than SlotCallback::inlineSize need). The name is copied
-     * into the slot's stable label without a temporary std::string.
-     */
-    template <typename Fn>
-    void
-    scheduleFn(std::string_view name, Tick when, Fn &&fn,
-               int priority = defaultPriority)
-    {
-        if (when < now_)
-            pastScheduleError(name, when);
-        int32_t slot;
-        LambdaEvent *ev;
-        if (freeSlots_.empty()) {
-            slot = growPool();
-            ev = pool_.back().get();
-            ev->rebind(name, std::forward<Fn>(fn));
-        } else {
-            slot = freeSlots_.back();
-            freeSlots_.pop_back();
-            ev = pool_[static_cast<size_t>(slot)].get();
-            ev->rebind(name, std::forward<Fn>(fn));
-        }
-        push(Entry{when, priority, slot, nextSequence_++, ev});
-    }
+    void schedule(std::string_view name, Tick when,
+                  std::function<void()> fn);
 
     /** Current simulated time. */
     Tick now() const { return now_; }
@@ -231,35 +46,10 @@ class EventQueue
     Tick nextTick() const;
 
     /**
-     * Pop and process the next event, advancing time to its tick.
-     * Panics when empty.
+     * Pop and run the next event, advancing time to its tick. The
+     * callback may schedule further events. Panics when empty.
      */
-    void
-    step()
-    {
-        if (heap_.empty())
-            emptyQueueError("step");
-        const Entry entry = popTop();
-        now_ = entry.when;
-        ++processed_;
-        if (entry.slot >= 0) {
-            // Direct (final-class) dispatch. The event may reschedule
-            // through the queue; its own slot is still in flight, so
-            // a nested scheduleFn never reuses it.
-            LambdaEvent &ev = *static_cast<LambdaEvent *>(entry.ev);
-            ev.process();
-            ev.release();
-            freeSlots_.push_back(entry.slot);
-        } else {
-            entry.ev->process();
-            // Destroy only after process(): the event may have
-            // scheduled follow-ups (growing owned_), so re-derive the
-            // slot index.
-            const int32_t idx = -1 - entry.slot;
-            owned_[static_cast<size_t>(idx)].reset();
-            freeOwned_.push_back(idx);
-        }
-    }
+    void step();
 
     /**
      * Run until the queue empties or simulated time would pass
@@ -271,88 +61,27 @@ class EventQueue
     /** Total number of events processed so far. */
     uint64_t processedCount() const { return processed_; }
 
-    /**
-     * LambdaEvent slots ever allocated (pool growth). The steady-state
-     * allocations-per-event figure is this divided by processedCount().
-     */
-    uint64_t lambdaSlotsAllocated() const { return slotsAllocated_; }
-
-    /** Current pool size (allocated slots, free or in flight). */
-    size_t lambdaPoolSize() const { return pool_.size(); }
-
-    /** Pool slots currently available for reuse. */
-    size_t lambdaPoolFree() const { return freeSlots_.size(); }
-
   private:
-    /**
-     * One pending firing. Trivially copyable on purpose: heap sifts
-     * are then plain 32-byte copies. `ev` is a borrowed pointer into
-     * pool_ (slot >= 0) or owned_ (slot < 0, index -1 - slot).
-     */
+    /** One pending firing. */
     struct Entry
     {
         Tick when;
-        int32_t priority;
-        int32_t slot;
         uint64_t sequence;
-        Event *ev;
+        std::function<void()> fn;
     };
-    static_assert(std::is_trivially_copyable_v<Entry>,
-                  "heap sifts rely on Entry being a plain value");
 
-    /** True when a fires after b (min-heap comparator). */
-    static bool
-    after(const Entry &a, const Entry &b)
-    {
-        if (a.when != b.when)
-            return a.when > b.when;
-        if (a.priority != b.priority)
-            return a.priority > b.priority;
-        return a.sequence > b.sequence;
-    }
+    /**
+     * True when a fires after b. The std heap algorithms build a
+     * max-heap, so this "greater" ordering keeps the earliest entry at
+     * the front.
+     */
+    static bool firesAfter(const Entry &a, const Entry &b);
 
-    void
-    push(Entry entry)
-    {
-        heap_.push_back(entry);
-        siftUp(heap_.size() - 1);
-    }
-
-    Entry
-    popTop()
-    {
-        const Entry top = heap_[0];
-        const size_t rest = heap_.size() - 1;
-        if (rest > 0)
-            heap_[0] = heap_[rest];
-        heap_.pop_back();
-        if (rest > 1)
-            siftDown(0);
-        return top;
-    }
-
-    void siftUp(size_t hole);
-    void siftDown(size_t hole);
-
-    /** Append a fresh unarmed slot; returns its index. Cold path. */
-    int32_t growPool();
-
-    [[noreturn]] void pastScheduleError(std::string_view name,
-                                        Tick when) const;
-    [[noreturn]] void emptyQueueError(const char *what) const;
-
-    /** Implicit 4-ary min-heap on (when, priority, sequence). */
+    /** Binary min-heap on (when, sequence), via std::push/pop_heap. */
     std::vector<Entry> heap_;
-    /** Recyclable scheduleFn() slots (stable addresses). */
-    std::vector<std::unique_ptr<LambdaEvent>> pool_;
-    std::vector<int32_t> freeSlots_;
-    /** Externally-constructed events, owned until they fire. */
-    std::vector<std::unique_ptr<Event>> owned_;
-    std::vector<int32_t> freeOwned_;
     Tick now_ = 0;
     uint64_t nextSequence_ = 0;
     uint64_t processed_ = 0;
-    uint64_t slotsAllocated_ = 0;
 };
 
 } // namespace tdp

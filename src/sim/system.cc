@@ -166,10 +166,6 @@ System::publishStats(obs::StatsRegistry &stats) const
         return;
     stats.addNamed("sim.quanta", quantaExecuted_);
     stats.addNamed("sim.events.processed", events_.processedCount());
-    stats.addNamed("sim.events.lambda_slots_allocated",
-                   events_.lambdaSlotsAllocated());
-    stats.setNamed("sim.events.lambda_pool_size",
-                   static_cast<double>(events_.lambdaPoolSize()));
     stats.addNamed("sim.objects", objects_.size());
     for (const SimObject *obj : objects_)
         obj->recordStats(stats);

@@ -80,9 +80,9 @@ class System
     uint64_t quantaExecuted() const { return quantaExecuted_; }
 
     /**
-     * Publish the kernel's counters (event throughput, pool sizes,
-     * quanta) and every registered object's recordStats() into the
-     * registry. Cold path: call at collection points (end of a run),
+     * Publish the kernel's counters (events processed, quanta) and
+     * every registered object's recordStats() into the registry.
+     * Cold path: call at collection points (end of a run),
      * not per quantum. No-op when the registry is disabled.
      */
     void publishStats(obs::StatsRegistry &stats) const;

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "common/logging.hh"
 #include "sim/event_queue.hh"
 
@@ -15,33 +19,32 @@ TEST(EventQueue, FiresInTimeOrder)
 {
     EventQueue q;
     std::vector<int> order;
-    q.scheduleFn("b", 20, [&] { order.push_back(2); });
-    q.scheduleFn("a", 10, [&] { order.push_back(1); });
-    q.scheduleFn("c", 30, [&] { order.push_back(3); });
+    q.schedule("b", 20, [&] { order.push_back(2); });
+    q.schedule("a", 10, [&] { order.push_back(1); });
+    q.schedule("c", 30, [&] { order.push_back(3); });
     q.runUntil(100);
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_EQ(q.now(), 100u);
 }
 
-TEST(EventQueue, SameTickUsesPriorityThenFifo)
+TEST(EventQueue, SameTickIsFifo)
 {
     EventQueue q;
     std::vector<int> order;
-    q.scheduleFn("late", 10, [&] { order.push_back(3); }, 200);
-    q.scheduleFn("first", 10, [&] { order.push_back(1); }, 50);
-    q.scheduleFn("fifo-a", 10, [&] { order.push_back(2); }, 50);
-    q.runUntil(10);
-    // priority 50 events fire first, among them insertion order; but
-    // "first" was inserted before "fifo-a" at equal priority.
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    q.schedule("later", 11, [&] { order.push_back(4); });
+    q.schedule("first", 10, [&] { order.push_back(1); });
+    q.schedule("second", 10, [&] { order.push_back(2); });
+    q.schedule("third", 10, [&] { order.push_back(3); });
+    q.runUntil(11);
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
 }
 
 TEST(EventQueue, RunUntilStopsAtBoundary)
 {
     EventQueue q;
     int fired = 0;
-    q.scheduleFn("in", 10, [&] { ++fired; });
-    q.scheduleFn("out", 11, [&] { ++fired; });
+    q.schedule("in", 10, [&] { ++fired; });
+    q.schedule("out", 11, [&] { ++fired; });
     q.runUntil(10);
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(q.size(), 1u);
@@ -52,8 +55,8 @@ TEST(EventQueue, EventsCanScheduleEvents)
 {
     EventQueue q;
     int fired = 0;
-    q.scheduleFn("outer", 5, [&] {
-        q.scheduleFn("inner", 7, [&] { ++fired; });
+    q.schedule("outer", 5, [&] {
+        q.schedule("inner", 7, [&] { ++fired; });
     });
     q.runUntil(10);
     EXPECT_EQ(fired, 1);
@@ -63,19 +66,19 @@ TEST(EventQueue, EventsCanScheduleEvents)
 TEST(EventQueue, PastSchedulingPanics)
 {
     EventQueue q;
-    q.scheduleFn("now", 10, [] {});
+    q.schedule("now", 10, [] {});
     q.runUntil(10);
-    EXPECT_THROW(q.scheduleFn("past", 5, [] {}), PanicError);
+    EXPECT_THROW(q.schedule("past", 5, [] {}), PanicError);
 }
 
 TEST(EventQueue, SameTickSchedulingAllowed)
 {
     EventQueue q;
     int fired = 0;
-    q.scheduleFn("outer", 5, [&] {
+    q.schedule("outer", 5, [&] {
         // Scheduling at the current tick must work (same-instant
         // follow-up work).
-        q.scheduleFn("inner", 5, [&] { ++fired; });
+        q.schedule("inner", 5, [&] { ++fired; });
     });
     q.runUntil(5);
     EXPECT_EQ(fired, 1);
@@ -91,8 +94,10 @@ TEST(EventQueue, EmptyQueueQueries)
 
 TEST(EventQueue, NullEventPanics)
 {
+    // An empty callback is rejected when scheduled, not when fired.
     EventQueue q;
-    EXPECT_THROW(q.schedule(nullptr, 1), PanicError);
+    EXPECT_THROW(q.schedule("x", 1, nullptr), PanicError);
+    EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, RunUntilAdvancesTimeWithoutEvents)
@@ -102,114 +107,44 @@ TEST(EventQueue, RunUntilAdvancesTimeWithoutEvents)
     EXPECT_EQ(q.now(), 500u);
 }
 
-TEST(EventQueue, LambdaSlotReusedAcrossSequentialEvents)
-{
-    // One event in flight at a time: the pool must stabilise at a
-    // single slot however many events fire.
-    EventQueue q;
-    int fired = 0;
-    for (Tick t = 1; t <= 1000; ++t) {
-        q.scheduleFn("seq", t, [&] { ++fired; });
-        q.runUntil(t);
-    }
-    EXPECT_EQ(fired, 1000);
-    EXPECT_EQ(q.processedCount(), 1000u);
-    EXPECT_EQ(q.lambdaSlotsAllocated(), 1u);
-    EXPECT_EQ(q.lambdaPoolSize(), 1u);
-    EXPECT_EQ(q.lambdaPoolFree(), 1u);
-}
-
-TEST(EventQueue, PoolGrowsToPeakInFlightThenStopsAllocating)
-{
-    EventQueue q;
-    int fired = 0;
-    for (int round = 0; round < 10; ++round) {
-        const Tick base = q.now() + 1;
-        for (int i = 0; i < 16; ++i)
-            q.scheduleFn("burst", base + i, [&] { ++fired; });
-        q.runUntil(base + 16);
-    }
-    EXPECT_EQ(fired, 160);
-    // 16 were in flight at once; later rounds recycle those slots.
-    EXPECT_EQ(q.lambdaSlotsAllocated(), 16u);
-    EXPECT_EQ(q.lambdaPoolSize(), 16u);
-    EXPECT_EQ(q.lambdaPoolFree(), 16u);
-}
-
-TEST(EventQueue, InFlightSlotNotReusedByNestedScheduling)
-{
-    // While an event is being processed its slot is still in flight;
-    // a nested scheduleFn must get a different slot, and both events
-    // must run with their own callable.
-    EventQueue q;
-    std::vector<int> order;
-    q.scheduleFn("outer", 5, [&] {
-        q.scheduleFn("inner", 6, [&] { order.push_back(2); });
-        order.push_back(1);
-    });
-    q.runUntil(10);
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
-    EXPECT_EQ(q.lambdaSlotsAllocated(), 2u);
-}
-
-TEST(EventQueue, OrderingPreservedAcrossSlotReuse)
-{
-    // Recycled slots must not perturb (tick, priority, fifo) order.
-    EventQueue q;
-    std::vector<int> order;
-    q.scheduleFn("warm-a", 1, [&] { order.push_back(0); });
-    q.scheduleFn("warm-b", 1, [&] { order.push_back(0); });
-    q.runUntil(1);
-    order.clear();
-
-    q.scheduleFn("late", 10, [&] { order.push_back(3); }, 200);
-    q.scheduleFn("first", 10, [&] { order.push_back(1); }, 50);
-    q.scheduleFn("fifo", 10, [&] { order.push_back(2); }, 50);
-    q.runUntil(10);
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-    // Only the peak of three in flight ever allocated (two warm slots
-    // recycled, one grown).
-    EXPECT_EQ(q.lambdaSlotsAllocated(), 3u);
-}
-
-TEST(EventQueue, OwnedEventsBypassLambdaPool)
-{
-    class Marker : public Event
-    {
-      public:
-        explicit Marker(int &hits) : Event("marker"), hits_(hits) {}
-        void process() override { ++hits_; }
-
-      private:
-        int &hits_;
-    };
-
-    EventQueue q;
-    int hits = 0;
-    q.schedule(std::make_unique<Marker>(hits), 3);
-    q.schedule(std::make_unique<Marker>(hits), 4);
-    q.runUntil(5);
-    EXPECT_EQ(hits, 2);
-    EXPECT_EQ(q.lambdaSlotsAllocated(), 0u);
-    EXPECT_EQ(q.lambdaPoolSize(), 0u);
-}
-
 TEST(EventQueue, HeapOrderingSurvivesInterleavedPopsAndPushes)
 {
-    // Mixed schedule/step traffic with recycled slots must fire in
-    // strict (tick, priority, sequence) order.
+    // Every event fires in (tick, insertion) order, including events
+    // scheduled from inside a callback at the tick being processed:
+    // the firing order must equal a stable sort of the insertion list
+    // by tick, so any other tie-break fails.
     EventQueue q;
-    std::vector<Tick> fired;
+    std::vector<std::pair<Tick, int>> inserted;
+    std::vector<int> fired;
+    auto add = [&](Tick when, auto &&fn) {
+        const int index = static_cast<int>(inserted.size());
+        inserted.emplace_back(when, index);
+        q.schedule("mix", when, [&fired, index, fn] {
+            fired.push_back(index);
+            fn();
+        });
+    };
     for (int i = 0; i < 50; ++i) {
-        const Tick when = static_cast<Tick>(1 + (i * 37) % 97);
-        q.scheduleFn("mix", when, [&fired, &q] {
-            fired.push_back(q.now());
+        // Shuffled ticks in 1..7, so every tick is shared.
+        const Tick when = static_cast<Tick>(1 + (i * 37) % 97 % 7);
+        add(when, [&, i, when] {
+            if (i % 3 != 0)
+                return;
+            // Nested same-tick and later-tick follow-ups.
+            add(when, [] {});
+            add(when + 2, [] {});
         });
     }
     q.runUntil(200);
-    ASSERT_EQ(fired.size(), 50u);
-    for (size_t i = 1; i < fired.size(); ++i)
-        EXPECT_LE(fired[i - 1], fired[i]);
+
+    std::vector<std::pair<Tick, int>> expected = inserted;
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first < b.first;
+                     });
+    ASSERT_EQ(fired.size(), expected.size());
+    for (size_t i = 0; i < fired.size(); ++i)
+        EXPECT_EQ(fired[i], expected[i].second) << "position " << i;
 }
 
 } // namespace

@@ -102,7 +102,7 @@ TEST(System, EventsInterleaveWithQuanta)
     System sys(1);
     Probe probe(sys, "p", TickPhase::Cpu, nullptr);
     int ticks_at_event = -1;
-    sys.events().scheduleFn("check", 5 * ticksPerMs, [&] {
+    sys.events().schedule("check", 5 * ticksPerMs, [&] {
         ticks_at_event = probe.ticks_;
     });
     sys.runFor(0.010);
