@@ -108,9 +108,9 @@
 
 #include "common/atomic_file.hh"
 #include "common/bench_util.hh"
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/strings.hh"
-#include "measure/trace_io.hh"
 #include "resilience/retry.hh"
 #include "resilience/shutdown.hh"
 #include "stream/checkpoint.hh"

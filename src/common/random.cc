@@ -7,6 +7,7 @@
 
 #include <cmath>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
 
 namespace tdp {
@@ -25,11 +26,7 @@ hashString(const std::string &s)
 {
     // FNV-1a over the bytes, then one SplitMix64 finalization round to
     // spread low-entropy inputs across all 64 bits.
-    uint64_t h = 0xcbf29ce484222325ULL;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ULL;
-    }
+    uint64_t h = fnv1a64(s.data(), s.size());
     return splitMix64(h);
 }
 

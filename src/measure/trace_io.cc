@@ -124,19 +124,6 @@ fail(std::string *error, const std::string &reason)
 
 } // namespace
 
-uint64_t
-fnv1a64(const void *data, size_t len, uint64_t seed)
-{
-    constexpr uint64_t prime = 0x100000001b3ull;
-    const unsigned char *bytes = static_cast<const unsigned char *>(data);
-    uint64_t hash = seed;
-    for (size_t i = 0; i < len; ++i) {
-        hash ^= bytes[i];
-        hash *= prime;
-    }
-    return hash;
-}
-
 void
 writeTraceBinary(std::ostream &os, const SampleTrace &trace,
                  uint64_t fingerprint)
@@ -168,7 +155,7 @@ writeTraceBinary(std::ostream &os, const SampleTrace &trace,
     appendLe(header, fingerprint);
     appendLe(header, static_cast<uint64_t>(trace.size()));
     appendLe(header, static_cast<uint64_t>(payload.size()));
-    appendLe(header, fnv1a64(payload.data(), payload.size()));
+    appendLe(header, checksum64(payload.data(), payload.size()));
 
     os.write(header.data(), static_cast<std::streamsize>(header.size()));
     os.write(payload.data(),
@@ -234,7 +221,7 @@ tryReadTraceBinary(std::istream &is, SampleTrace &out,
             static_cast<std::streamsize>(payload_bytes));
     if (static_cast<uint64_t>(is.gcount()) != payload_bytes)
         return fail(error, "truncated payload");
-    if (fnv1a64(payload.data(), payload.size()) != checksum)
+    if (checksum64(payload.data(), payload.size()) != checksum)
         return fail(error, "payload checksum mismatch");
 
     SampleTrace trace;

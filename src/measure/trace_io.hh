@@ -23,7 +23,8 @@
  *     u64    fingerprint      caller-supplied key (0 if unused)
  *     u64    sampleCount
  *     u64    payloadBytes
- *     u64    payloadChecksum  FNV-1a 64 over the payload bytes
+ *     u64    payloadChecksum  XXH64 (checksum64, seed 0) over the
+ *                             payload bytes
  *   payload, per sample:
  *     f64    time, interval
  *     f64    osInterruptsTotal, osDiskInterrupts, osDeviceInterrupts
@@ -45,19 +46,17 @@
 #include <iosfwd>
 #include <string>
 
+#include "common/hash.hh"
 #include "measure/trace.hh"
 
 namespace tdp {
 
-/** Current binary trace format version. */
-constexpr uint32_t traceFormatVersion = 1;
-
-/** FNV-1a 64-bit offset basis. */
-constexpr uint64_t fnv1aBasis = 0xcbf29ce484222325ull;
-
-/** FNV-1a 64-bit hash of a byte range, chainable via `seed`. */
-uint64_t fnv1a64(const void *data, size_t len,
-                 uint64_t seed = fnv1aBasis);
+/**
+ * Current binary trace format version. Version 1 checksummed the
+ * payload with FNV-1a and is rejected; version 2 uses XXH64 with the
+ * same header and payload layout.
+ */
+constexpr uint32_t traceFormatVersion = 2;
 
 /**
  * Write the trace in the binary format described above.

@@ -15,8 +15,8 @@
 #include <vector>
 
 #include "common/atomic_file.hh"
+#include "common/hash.hh"
 #include "common/logging.hh"
-#include "measure/trace_io.hh"
 #include "obs/run_manifest.hh"
 #include "stream/service.hh"
 

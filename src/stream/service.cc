@@ -9,8 +9,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
-#include "measure/trace_io.hh"
 
 namespace tdp {
 namespace stream {

@@ -26,36 +26,27 @@ enum : uint8_t
 Fingerprint &
 Fingerprint::mixTag(uint8_t tag)
 {
-    constexpr uint64_t prime = 0x100000001b3ull;
-    hash_ ^= tag;
-    hash_ *= prime;
+    hash_ = fnv1a64(&tag, 1, hash_);
     return *this;
 }
 
 Fingerprint &
 Fingerprint::mixBytes(const void *data, size_t len)
 {
-    constexpr uint64_t prime = 0x100000001b3ull;
     mixTag(tagBytes);
     mixU64(len);
-    const unsigned char *bytes =
-        static_cast<const unsigned char *>(data);
-    for (size_t i = 0; i < len; ++i) {
-        hash_ ^= bytes[i];
-        hash_ *= prime;
-    }
+    hash_ = fnv1a64(data, len, hash_);
     return *this;
 }
 
 Fingerprint &
 Fingerprint::mixU64(uint64_t value)
 {
-    constexpr uint64_t prime = 0x100000001b3ull;
     mixTag(tagU64);
-    for (size_t i = 0; i < sizeof(value); ++i) {
-        hash_ ^= (value >> (8 * i)) & 0xff;
-        hash_ *= prime;
-    }
+    unsigned char bytes[sizeof(value)];
+    for (size_t i = 0; i < sizeof(value); ++i)
+        bytes[i] = static_cast<unsigned char>(value >> (8 * i));
+    hash_ = fnv1a64(bytes, sizeof(bytes), hash_);
     return *this;
 }
 

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/hash.hh"
 #include "fault/fault_plan.hh"
 
 namespace tdp {
@@ -51,7 +52,7 @@ class Fingerprint
     /** Tag each field with its type so field boundaries are unambiguous. */
     Fingerprint &mixTag(uint8_t tag);
 
-    uint64_t hash_ = 0xcbf29ce484222325ull;
+    uint64_t hash_ = fnv1aBasis;
 };
 
 } // namespace tdp

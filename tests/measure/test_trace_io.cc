@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hash.hh"
 #include "measure/trace_io.hh"
 #include "platform/server.hh"
 
@@ -174,13 +175,20 @@ TEST(TraceIo, DetectsTruncation)
 
 TEST(TraceIo, DetectsPayloadCorruption)
 {
-    std::string bytes = serialize(pathologicalTrace());
-    bytes[bytes.size() - 5] ^= 0x40; // flip a payload bit
-    std::istringstream is(bytes, std::ios::binary);
-    SampleTrace loaded;
-    std::string error;
-    EXPECT_FALSE(tryReadTraceBinary(is, loaded, nullptr, &error));
-    EXPECT_NE(error.find("checksum"), std::string::npos) << error;
+    // Every single-bit flip anywhere in the payload is caught.
+    constexpr size_t header_bytes = 48;
+    const std::string bytes = serialize(pathologicalTrace());
+    ASSERT_GT(bytes.size(), header_bytes);
+    for (size_t bit = 8 * header_bytes; bit < 8 * bytes.size(); ++bit) {
+        std::string corrupt = bytes;
+        corrupt[bit / 8] ^= static_cast<char>(1u << (bit % 8));
+        std::istringstream is(corrupt, std::ios::binary);
+        SampleTrace loaded;
+        std::string error;
+        EXPECT_FALSE(tryReadTraceBinary(is, loaded, nullptr, &error))
+            << "bit " << bit;
+        EXPECT_EQ(error, "payload checksum mismatch") << "bit " << bit;
+    }
 }
 
 TEST(TraceIo, DetectsVersionAndMagicMismatch)
@@ -257,6 +265,33 @@ TEST(TraceIo, RejectsSampleCountThatCannotFitPayload)
     EXPECT_FALSE(tryReadTraceBinary(is, loaded, nullptr, &error));
     EXPECT_NE(error.find("shorter than sample count"), std::string::npos)
         << error;
+}
+
+/** Rewrite a current-version file as a version 1 file would be. */
+std::string
+asVersion1(std::string bytes)
+{
+    constexpr size_t header_bytes = 48;
+    bytes[4] = 1; // version, little-endian u32
+    patchU64(bytes, 40,
+             fnv1a64(bytes.data() + header_bytes,
+                     bytes.size() - header_bytes));
+    return bytes;
+}
+
+TEST(TraceIo, RejectsVersion1File)
+{
+    // Version 1 had the same layout with an FNV-1a payload checksum.
+    // The version check rejects it first, naming the version.
+    std::istringstream is(asVersion1(serialize(pathologicalTrace(), 42)),
+                          std::ios::binary);
+    SampleTrace loaded;
+    std::string error;
+    EXPECT_FALSE(tryReadTraceBinary(is, loaded, nullptr, &error));
+    EXPECT_NE(error.find("format version 1, expected 2"),
+              std::string::npos)
+        << error;
+    EXPECT_TRUE(loaded.empty());
 }
 
 TEST(TraceIo, StrictReaderThrowsOnCorruption)

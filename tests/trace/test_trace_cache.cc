@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -28,6 +29,7 @@
 #include "workloads/profile.hh"
 
 #include "common/bench_util.hh"
+#include "common/hash.hh"
 #include "measure/trace_io.hh"
 #include "trace/fingerprint.hh"
 #include "trace/trace_cache.hh"
@@ -295,6 +297,55 @@ TEST_F(TraceCacheTest, RunTracesFallsBackToSimulationOnCorruptEntry)
     const SampleTrace warm = bench::runTraces({spec})[0];
     EXPECT_TRUE(traceBitIdentical(fresh, warm));
     EXPECT_GE(bench::traceCache()->stats().hits, 1u);
+
+    bench::setTraceCacheRoot("");
+}
+
+TEST_F(TraceCacheTest, Version1EntryIsRejectedThenResimulated)
+{
+    // A version 1 entry (FNV-1a payload checksum) at the entry path is
+    // one rejection and a re-simulation: no crash, no fatal.
+    bench::setTraceCacheRoot("");
+    RunSpec spec;
+    spec.workload = "idle";
+    spec.instances = 0;
+    spec.firstStart = 0.0;
+    spec.duration = 6.0;
+    spec.skip = 2.0;
+    const SampleTrace fresh = bench::runTraces({spec})[0];
+
+    bench::setTraceCacheRoot(root_.string());
+    ASSERT_NE(bench::traceCache(), nullptr);
+    bench::runTraces({spec});
+    const fs::path path =
+        bench::traceCache()->entryPath(runFingerprint(spec));
+    std::string bytes;
+    {
+        std::ifstream in(path, std::ios::binary);
+        ASSERT_TRUE(in);
+        bytes.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    constexpr size_t header_bytes = 48;
+    ASSERT_GT(bytes.size(), header_bytes);
+    bytes[4] = 1; // version, little-endian u32
+    const uint64_t v1_checksum = fnv1a64(bytes.data() + header_bytes,
+                                         bytes.size() - header_bytes);
+    for (size_t i = 0; i < 8; ++i)
+        bytes[40 + i] = static_cast<char>(v1_checksum >> (8 * i));
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+        ASSERT_TRUE(out);
+    }
+
+    testing::internal::CaptureStderr();
+    const SampleTrace recovered = bench::runTraces({spec})[0];
+    const std::string log = testing::internal::GetCapturedStderr();
+    EXPECT_TRUE(traceBitIdentical(fresh, recovered));
+    EXPECT_EQ(bench::traceCache()->stats().rejected, 1u);
+    EXPECT_NE(log.find("format version 1, expected 2"), std::string::npos)
+        << log;
+    EXPECT_EQ(log.find("fatal"), std::string::npos) << log;
 
     bench::setTraceCacheRoot("");
 }
