@@ -27,7 +27,7 @@ double
 errorOn(SubsystemModel &model, const SampleTrace &trace)
 {
     std::vector<double> modeled, measured;
-    for (const AlignedSample &s : trace.samples()) {
+    for (const AlignedSample &s : trace.rows()) {
         modeled.push_back(model.estimate(EventVector::fromSample(s)));
         measured.push_back(s.measured(Rail::Io));
     }
@@ -38,7 +38,7 @@ double
 correlationOn(const SampleTrace &trace, double CpuEventRates::*field)
 {
     std::vector<double> x, y;
-    for (const AlignedSample &s : trace.samples()) {
+    for (const AlignedSample &s : trace.rows()) {
         x.push_back(EventVector::fromSample(s).total(field));
         y.push_back(s.measured(Rail::Io));
     }

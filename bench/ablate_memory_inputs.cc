@@ -39,7 +39,7 @@ errorOn(SubsystemModel &model, const SampleTrace &trace,
         bool exclude_dma)
 {
     std::vector<double> modeled, measured;
-    for (const AlignedSample &s : trace.samples()) {
+    for (const AlignedSample &s : trace.rows()) {
         EventVector ev = EventVector::fromSample(s);
         if (exclude_dma) {
             for (CpuEventRates &c : ev.cpu)
@@ -76,7 +76,7 @@ main(int argc, char **argv)
 
     // Model (b): trained on DMA-less inputs of the same trace.
     SampleTrace stripped;
-    for (AlignedSample s : mcf_train.samples()) {
+    for (AlignedSample s : mcf_train.rows()) {
         for (CounterSnapshot &snap : s.perCpu) {
             snap[PerfEvent::BusTransactions] -=
                 snap[PerfEvent::DmaOtherAccesses];

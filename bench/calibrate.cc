@@ -85,7 +85,7 @@ main(int argc, char **argv)
 
         RunningStats rails[numRails];
         RunningStats bus_rate, uops, active, irq;
-        for (const AlignedSample &s : trace.samples()) {
+        for (const AlignedSample &s : trace.rows()) {
             for (int r = 0; r < numRails; ++r)
                 rails[r].add(s.measured(static_cast<Rail>(r)));
             const EventVector ev = EventVector::fromSample(s);

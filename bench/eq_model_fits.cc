@@ -28,12 +28,10 @@ using namespace tdp::bench;
 double
 selfError(SubsystemModel &model, const SampleTrace &trace)
 {
-    std::vector<double> modeled, measured;
-    for (const AlignedSample &s : trace.samples()) {
+    std::vector<double> modeled;
+    for (const AlignedSample &s : trace.rows())
         modeled.push_back(model.estimate(EventVector::fromSample(s)));
-        measured.push_back(s.measured(model.rail()));
-    }
-    return averageError(modeled, measured);
+    return averageError(modeled, trace.measuredColumn(model.rail()));
 }
 
 } // namespace

@@ -37,10 +37,9 @@ std::array<double, numRails>
 railMeans(const SampleTrace &trace)
 {
     std::array<double, numRails> means{};
-    for (const AlignedSample &s : trace.samples())
-        for (int r = 0; r < numRails; ++r)
-            means[static_cast<size_t>(r)] +=
-                s.measured(static_cast<Rail>(r));
+    for (int r = 0; r < numRails; ++r)
+        for (const double watts : trace.measuredColumn(static_cast<Rail>(r)))
+            means[static_cast<size_t>(r)] += watts;
     for (double &m : means)
         m /= static_cast<double>(trace.size());
     return means;

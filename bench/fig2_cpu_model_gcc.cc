@@ -36,7 +36,7 @@ main(int argc, char **argv)
 
     std::printf("%8s  %10s  %10s\n", "seconds", "measured", "modeled");
     for (size_t i = 0; i < trace.size(); i += 5) {
-        std::printf("%8.0f  %10.1f  %10.1f\n", trace[i].time,
+        std::printf("%8.0f  %10.1f  %10.1f\n", trace.time(i),
                     measured[i], modeled[i]);
     }
 

@@ -49,7 +49,7 @@ main(int argc, char **argv)
                 "l3model", "err");
     std::vector<double> modeled, measured;
     for (size_t i = 0; i < trace.size(); ++i) {
-        const AlignedSample &s = trace[i];
+        const AlignedSample s = trace.row(i);
         const double bus =
             s.totalCount(PerfEvent::BusTransactions) / s.interval;
         const double prefetch =

@@ -42,11 +42,11 @@ main(int argc, char **argv)
     std::vector<double> modeled, measured;
     for (size_t i = 0; i < trace.size(); ++i) {
         const double est =
-            model.estimate(EventVector::fromSample(trace[i]));
+            model.estimate(EventVector::fromSample(trace.row(i)));
         modeled.push_back(est);
-        measured.push_back(trace[i].measured(Rail::Disk));
+        measured.push_back(trace.measuredColumn(Rail::Disk)[i]);
         if (i % 4 == 0) {
-            std::printf("%8.0f  %10.3f  %10.3f\n", trace[i].time,
+            std::printf("%8.0f  %10.3f  %10.3f\n", trace.time(i),
                         measured.back(), modeled.back());
         }
     }

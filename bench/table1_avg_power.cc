@@ -38,9 +38,10 @@ main(int argc, char **argv)
         const std::string &name = names[w];
         const SampleTrace &trace = traces[w];
         RunningStats rails[numRails];
-        for (const AlignedSample &s : trace.samples())
-            for (int r = 0; r < numRails; ++r)
-                rails[r].add(s.measured(static_cast<Rail>(r)));
+        for (int r = 0; r < numRails; ++r)
+            for (const double watts :
+                 trace.measuredColumn(static_cast<Rail>(r)))
+                rails[r].add(watts);
         double total = 0.0;
         for (const RunningStats &r : rails)
             total += r.mean();

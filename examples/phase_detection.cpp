@@ -107,7 +107,7 @@ analyse(const std::string &workload, const SystemPowerEstimator &est,
     RunningStats est_stats;
     std::printf("\n%s (%s rail, threshold %.1f W):\n",
                 workload.c_str(), railName(rail), threshold);
-    for (const AlignedSample &s : trace.samples()) {
+    for (const AlignedSample &s : trace.rows()) {
         const double watts =
             est.estimate(EventVector::fromSample(s)).rail(rail);
         est_stats.add(watts);

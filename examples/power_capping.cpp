@@ -125,7 +125,7 @@ main()
         server.run(1.0);
         const SampleTrace &trace = server.rig().collect();
         while (consumed < trace.size()) {
-            const AlignedSample &s = trace[consumed++];
+            const AlignedSample s = trace.row(consumed++);
             governor.step(s);
             double true_total = 0.0;
             for (int r = 0; r < numRails; ++r)

@@ -67,7 +67,7 @@ main()
         server.run(1.0);
         const SampleTrace &trace = server.rig().collect();
         while (consumed < trace.size()) {
-            const AlignedSample &s = trace[consumed++];
+            const AlignedSample s = trace.row(consumed++);
             const EventVector ev = EventVector::fromSample(s);
             double per_cpu[4];
             for (int i = 0; i < 4; ++i) {

@@ -77,7 +77,7 @@ main()
         const SampleTrace &trace = server.rig().collect();
         if (trace.empty())
             continue;
-        const AlignedSample &latest = trace[trace.size() - 1];
+        const AlignedSample latest = trace.row(trace.size() - 1);
         const PowerBreakdown bd =
             estimator.estimate(EventVector::fromSample(latest));
         std::printf(
@@ -90,7 +90,7 @@ main()
     std::printf("\n== 3. Check against the hidden ground truth ==\n");
     const SampleTrace &trace = server.rig().collect();
     double modeled = 0.0, measured = 0.0;
-    for (const AlignedSample &s : trace.samples()) {
+    for (const AlignedSample &s : trace.rows()) {
         modeled +=
             estimator.estimate(EventVector::fromSample(s)).total();
         for (int r = 0; r < numRails; ++r)

@@ -44,11 +44,11 @@ DvfsAwareCpuModel::estimate(const EventVector &events) const
 }
 
 void
-DvfsAwareCpuModel::train(const SampleTrace &trace)
+DvfsAwareCpuModel::fit(const TraceRates &rates)
 {
     // Training data is assumed captured at nominal frequency, per the
     // paper's methodology.
-    base_->train(trace);
+    base_->fit(rates);
 }
 
 std::string

@@ -58,7 +58,7 @@ class DvfsAwareCpuModel : public SubsystemModel
     Rail rail() const override { return Rail::Cpu; }
     const std::string &name() const override { return name_; }
     Watts estimate(const EventVector &events) const override;
-    void train(const SampleTrace &trace) override;
+    void fit(const TraceRates &rates) override;
     bool trained() const override { return base_->trained(); }
     std::string describe() const override;
     std::vector<double> coefficients() const override;

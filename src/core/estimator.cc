@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -191,13 +192,7 @@ installedRails(
 SubsystemModel &
 SystemPowerEstimator::model(Rail rail)
 {
-    auto &m = models_[static_cast<size_t>(rail)];
-    if (!m)
-        fatal("SystemPowerEstimator: no model installed for rail %s; "
-              "installed models: %s. Install one with setModel() or "
-              "start from makePaperModelSet().",
-              railName(rail), installedRails(models_).c_str());
-    return *m;
+    return const_cast<SubsystemModel &>(std::as_const(*this).model(rail));
 }
 
 const SubsystemModel &
@@ -224,23 +219,19 @@ SystemPowerEstimator::ready() const
 void
 SystemPowerEstimator::trainAll(const SampleTrace &trace)
 {
+    const TraceRates rates(trace);
     for (int r = 0; r < numRails; ++r)
         if (models_[static_cast<size_t>(r)])
-            trainRail(static_cast<Rail>(r), trace);
+            trainRail(static_cast<Rail>(r), rates);
 }
 
 void
-SystemPowerEstimator::trainRail(Rail rail, const SampleTrace &trace)
+SystemPowerEstimator::trainRail(Rail rail, const TraceRates &rates)
 {
     const size_t i = static_cast<size_t>(rail);
-    auto &primary = models_[i];
-    if (!primary)
-        fatal("SystemPowerEstimator: no model installed for rail %s; "
-              "installed models: %s. Install one with setModel() or "
-              "start from makePaperModelSet().",
-              railName(rail), installedRails(models_).c_str());
+    SubsystemModel &primary = model(rail);
     if (fallbacks_[i].empty()) {
-        primary->train(trace);
+        primary.fit(rates);
         return;
     }
     // With fallback rungs below it, a primary whose regressors are
@@ -248,15 +239,15 @@ SystemPowerEstimator::trainRail(Rail rail, const SampleTrace &trace)
     // leaving the columns non-finite) is left untrained and the
     // chain degrades at estimate time instead of aborting.
     try {
-        primary->train(trace);
+        primary.fit(rates);
     } catch (const FatalError &e) {
         warn("training %s failed (%s); rail %s will rely on its "
              "fallback chain",
-             primary->name().c_str(), e.what(), railName(rail));
+             primary.name().c_str(), e.what(), railName(rail));
     }
     for (auto &rung : fallbacks_[i]) {
         try {
-            rung->train(trace);
+            rung->fit(rates);
         } catch (const FatalError &e) {
             warn("training fallback %s failed (%s); rung skipped",
                  rung->name().c_str(), e.what());
@@ -293,12 +284,7 @@ SystemPowerEstimator::estimateRail(const EventVector &events,
                                    Rail rail) const
 {
     const size_t idx = static_cast<size_t>(rail);
-    const auto &primary = models_[idx];
-    if (!primary)
-        fatal("SystemPowerEstimator: no model installed for rail %s; "
-              "installed models: %s. Install one with setModel() or "
-              "start from makePaperModelSet().",
-              railName(rail), installedRails(models_).c_str());
+    const SubsystemModel &primary = model(rail);
 
     auto &state = health_[idx];
     const auto &chain = fallbacks_[idx];
@@ -309,19 +295,19 @@ SystemPowerEstimator::estimateRail(const EventVector &events,
     // Single-model rails keep the legacy contract exactly: whatever
     // the model returns (or throws, when untrained) passes through.
     if (chain.empty()) {
-        const Watts w = primary->estimate(events);
+        const Watts w = primary.estimate(events);
         if (std::isfinite(w)) {
             ++state.rungUses[0];
         } else {
             ++state.unestimable;
-            recordReason(state, 0, events, primary->name(), noRung);
+            recordReason(state, 0, events, primary.name(), noRung);
         }
         return w;
     }
 
     for (size_t r = 0; r < chain.size() + 1; ++r) {
         const SubsystemModel &m =
-            r == 0 ? *primary : *chain[r - 1];
+            r == 0 ? primary : *chain[r - 1];
         const std::string &next =
             r < chain.size() ? chain[r]->name() : noRung;
         if (!m.trained()) {
@@ -364,8 +350,8 @@ void
 forEachSample(const SampleTrace &trace, Fn &&fn)
 {
     EventVector events;
-    for (const AlignedSample &sample : trace.samples()) {
-        EventVector::fromSampleInto(sample, events);
+    for (size_t i = 0; i < trace.size(); ++i) {
+        EventVector::fromTraceInto(trace, i, events);
         fn(events);
     }
 }

@@ -146,7 +146,7 @@ class SystemPowerEstimator
      * the chain degrades at estimate time; a single-model rail
      * propagates the failure as before.
      */
-    void trainRail(Rail rail, const SampleTrace &trace);
+    void trainRail(Rail rail, const TraceRates &rates);
 
     /**
      * Estimate one rail for one sample, walking the fallback chain

@@ -17,20 +17,22 @@ EventVector::fromSample(const AlignedSample &sample)
     return ev;
 }
 
+namespace {
+
+/** Fill @p out from @p n CPUs, counters(i) giving CPU i's deltas. */
+template <typename Counters>
 void
-EventVector::fromSampleInto(const AlignedSample &sample,
-                            EventVector &out)
+derive(size_t n, double interval, double disk_interrupts,
+       double device_interrupts, Counters &&counters, EventVector &out)
 {
-    EventVector &ev = out;
-    ev.interval = sample.interval;
-    const size_t n = sample.perCpu.size();
+    out.interval = interval;
     if (n == 0)
         fatal("EventVector: sample with no CPUs");
-    ev.cpu.resize(n);
+    out.cpu.resize(n);
 
     for (size_t i = 0; i < n; ++i) {
-        const CounterSnapshot &snap = sample.perCpu[i];
-        CpuEventRates &rates = ev.cpu[i];
+        const CounterSnapshot &snap = counters(i);
+        CpuEventRates &rates = out.cpu[i];
         const double cycles = snap[PerfEvent::Cycles];
         if (cycles <= 0.0)
             fatal("EventVector: sample with zero cycles on cpu %zu", i);
@@ -55,10 +57,43 @@ EventVector::fromSampleInto(const AlignedSample &sample,
         // the system-wide counts are spread over the CPUs that
         // serviced them (balanced routing).
         rates.diskInterruptsPerCycle =
-            sample.osDiskInterrupts / static_cast<double>(n) / cycles;
+            disk_interrupts / static_cast<double>(n) / cycles;
         rates.deviceInterruptsPerCycle =
-            sample.osDeviceInterrupts / static_cast<double>(n) / cycles;
+            device_interrupts / static_cast<double>(n) / cycles;
     }
+}
+
+} // namespace
+
+void
+EventVector::fromSampleInto(const AlignedSample &sample,
+                            EventVector &out)
+{
+    derive(
+        sample.perCpu.size(), sample.interval, sample.osDiskInterrupts,
+        sample.osDeviceInterrupts,
+        [&sample](size_t i) -> const CounterSnapshot & {
+            return sample.perCpu[i];
+        },
+        out);
+}
+
+void
+EventVector::fromTraceInto(const SampleTrace &trace, size_t i,
+                           EventVector &out)
+{
+    derive(
+        trace.cpuCount(), trace.column(SampleTrace::intervalColumn)[i],
+        trace.column(SampleTrace::irqDiskColumn)[i],
+        trace.column(SampleTrace::irqDeviceColumn)[i],
+        [&trace, i](size_t cpu) {
+            CounterSnapshot snap;
+            for (int e = 0; e < numPerfEvents; ++e)
+                snap[static_cast<PerfEvent>(e)] =
+                    trace.count(i, cpu, static_cast<PerfEvent>(e));
+            return snap;
+        },
+        out);
 }
 
 double
@@ -79,14 +114,35 @@ EventVector::totalSquared(double CpuEventRates::*field) const
     return acc;
 }
 
-std::vector<EventVector>
-eventVectors(const SampleTrace &trace)
+TraceRates::TraceRates(const SampleTrace &trace) : trace_(trace)
 {
-    std::vector<EventVector> out;
-    out.reserve(trace.size());
-    for (const AlignedSample &sample : trace.samples())
-        out.push_back(EventVector::fromSample(sample));
-    return out;
+    rates_.reserve(trace.size() * trace.cpuCount());
+    EventVector events;
+    for (size_t i = 0; i < trace.size(); ++i) {
+        for (size_t c = 0; c < trace.cpuCount(); ++c) {
+            if (trace.count(i, c, PerfEvent::Cycles) <= 0.0) {
+                error_ = formatString(
+                    "EventVector: sample with zero cycles on cpu %zu", c);
+                return;
+            }
+        }
+        EventVector::fromTraceInto(trace, i, events);
+        rates_.insert(rates_.end(), events.cpu.begin(), events.cpu.end());
+    }
+}
+
+double
+TraceRates::total(size_t i, double CpuEventRates::*field,
+                  bool squared) const
+{
+    const size_t n = trace_.cpuCount();
+    if ((i + 1) * n > rates_.size())
+        fatal("%s", error_.c_str());
+    double acc = 0.0;
+    for (size_t c = i * n; c < (i + 1) * n; ++c)
+        acc += squared ? (rates_[c].*field) * (rates_[c].*field)
+                       : rates_[c].*field;
+    return acc;
 }
 
 } // namespace tdp

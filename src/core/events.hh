@@ -77,6 +77,10 @@ struct EventVector
     static void fromSampleInto(const AlignedSample &sample,
                                EventVector &out);
 
+    /** fromSampleInto() for sample @p i of @p trace, read in place. */
+    static void fromTraceInto(const SampleTrace &trace, size_t i,
+                              EventVector &out);
+
     /** Sum of one rate across CPUs (member pointer selector). */
     double total(double CpuEventRates::*field) const;
 
@@ -84,8 +88,35 @@ struct EventVector
     double totalSquared(double CpuEventRates::*field) const;
 };
 
-/** Convert a whole trace to event vectors. */
-std::vector<EventVector> eventVectors(const SampleTrace &trace);
+/**
+ * Every sample's per-CPU rates, derived once for all fits on a trace
+ * and summed in CPU order as EventVector::total() sums them. A
+ * zero-cycle sample ends the table; reading it is the fatal()
+ * EventVector would raise, so models that read no rates still train.
+ */
+class TraceRates
+{
+  public:
+    /** Derive from @p trace, which must outlive the table. */
+    explicit TraceRates(const SampleTrace &trace);
+
+    const SampleTrace &trace() const { return trace_; }
+    size_t size() const { return trace_.size(); }
+
+    /**
+     * One rate of sample @p i summed across CPUs, or with @p squared
+     * the sum of its squares (EventVector::totalSquared()).
+     */
+    double total(size_t i, double CpuEventRates::*field,
+                 bool squared = false) const;
+
+  private:
+    const SampleTrace &trace_;
+    /** cpuCount() rates per derived sample, sample major. */
+    std::vector<CpuEventRates> rates_;
+    /** Why derivation stopped short of the trace, if it did. */
+    std::string error_;
+};
 
 } // namespace tdp
 

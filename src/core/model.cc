@@ -15,24 +15,22 @@ namespace tdp {
 namespace {
 
 /**
- * Streams a trace's regressor rows to the fitters: each row is
- * derived on the fly from the sample's event vector, so no per-fit
- * column copies of the trace are ever materialised. The regressor
- * layout is [x0, x0^2, x1, x1^2, ...] when with_squares is set,
- * matching the models' coefficient order.
+ * Streams a training trace's regressor rows to the fitters from its
+ * rate table, with no per-fit copies. The layout is [x0, x0^2, x1,
+ * x1^2, ...] when with_squares is set, the models' coefficient order.
  */
 class TraceDesignSource : public DesignSource
 {
   public:
-    TraceDesignSource(const SampleTrace &trace, Rail rail,
+    TraceDesignSource(const TraceRates &rates, Rail rail,
                       const std::vector<double CpuEventRates::*> &fields,
                       bool with_squares)
-        : trace_(trace), rail_(rail), fields_(fields),
-          withSquares_(with_squares)
+        : rates_(rates), measured_(rates.trace().measuredColumn(rail)),
+          fields_(fields), withSquares_(with_squares)
     {
     }
 
-    size_t sampleCount() const override { return trace_.size(); }
+    size_t sampleCount() const override { return rates_.size(); }
 
     size_t
     regressorCount() const override
@@ -43,28 +41,21 @@ class TraceDesignSource : public DesignSource
     void
     row(size_t i, double *out) const override
     {
-        EventVector::fromSampleInto(trace_[i], scratch_);
         size_t o = 0;
         for (double CpuEventRates::*field : fields_) {
-            out[o++] = scratch_.total(field);
+            out[o++] = rates_.total(i, field);
             if (withSquares_)
-                out[o++] = scratch_.totalSquared(field);
+                out[o++] = rates_.total(i, field, true);
         }
     }
 
-    double
-    response(size_t i) const override
-    {
-        return trace_[i].measured(rail_);
-    }
+    double response(size_t i) const override { return measured_[i]; }
 
   private:
-    const SampleTrace &trace_;
-    Rail rail_;
+    const TraceRates &rates_;
+    const std::vector<double> &measured_;
     const std::vector<double CpuEventRates::*> &fields_;
     bool withSquares_;
-    /** Reused by row() so a streamed fit allocates once per source. */
-    mutable EventVector scratch_;
 };
 
 /**
@@ -79,17 +70,17 @@ class TraceDesignSource : public DesignSource
  * when with_squares is set.
  */
 FitResult
-fitColumns(const SampleTrace &trace, Rail rail,
+fitColumns(const TraceRates &rates, Rail rail,
            const std::vector<double CpuEventRates::*> &fields,
            bool with_squares)
 {
-    if (trace.empty())
+    if (rates.size() == 0)
         fatal("model training requires a non-empty trace");
 
     if (with_squares) {
         try {
             return fitOls(
-                TraceDesignSource(trace, rail, fields, true));
+                TraceDesignSource(rates, rail, fields, true));
         } catch (const FatalError &) {
             warn("quadratic fit for %s rank-deficient; "
                  "falling back to linear form",
@@ -98,7 +89,7 @@ fitColumns(const SampleTrace &trace, Rail rail,
     }
 
     FitResult fit =
-        fitOls(TraceDesignSource(trace, rail, fields, false));
+        fitOls(TraceDesignSource(rates, rail, fields, false));
     if (with_squares) {
         // Re-expand to the quadratic layout with zero square terms.
         std::vector<double> expanded(fields.size() * 2, 0.0);
@@ -139,10 +130,10 @@ CpuPowerModel::estimateCpu(const EventVector &events, int cpu) const
 }
 
 void
-CpuPowerModel::train(const SampleTrace &trace)
+CpuPowerModel::fit(const TraceRates &rates)
 {
     const FitResult fit = fitColumns(
-        trace, Rail::Cpu,
+        rates, Rail::Cpu,
         {&CpuEventRates::percentActive, &CpuEventRates::uopsPerCycle},
         false);
     intercept_ = fit.intercept;
@@ -195,9 +186,9 @@ QuadraticEventModel::estimate(const EventVector &events) const
 }
 
 void
-QuadraticEventModel::train(const SampleTrace &trace)
+QuadraticEventModel::fit(const TraceRates &rates)
 {
-    const FitResult fit = fitColumns(trace, rail_, {field_}, true);
+    const FitResult fit = fitColumns(rates, rail_, {field_}, true);
     intercept_ = fit.intercept;
     linear_ = fit.coefficients[0];
     quadratic_ = fit.coefficients[1];
@@ -272,10 +263,10 @@ DiskPowerModel::estimate(const EventVector &events) const
 }
 
 void
-DiskPowerModel::train(const SampleTrace &trace)
+DiskPowerModel::fit(const TraceRates &rates)
 {
     const FitResult fit =
-        fitColumns(trace, Rail::Disk,
+        fitColumns(rates, Rail::Disk,
                    {&CpuEventRates::diskInterruptsPerCycle,
                     &CpuEventRates::dmaPerCycle},
                    true);
@@ -320,8 +311,10 @@ DiskPowerModel::setCoefficients(const std::vector<double> &coeffs)
 
 // ----------------------------------------------------------- constant
 
-ConstantPowerModel::ConstantPowerModel(Rail rail)
-    : rail_(rail), name_(std::string(railName(rail)) + "-const")
+ConstantPowerModel::ConstantPowerModel(Rail rail, std::string name)
+    : rail_(rail),
+      name_(name.empty() ? std::string(railName(rail)) + "-const"
+                         : std::move(name))
 {
 }
 
@@ -334,14 +327,13 @@ ConstantPowerModel::estimate(const EventVector & /* events */) const
 }
 
 void
-ConstantPowerModel::train(const SampleTrace &trace)
+ConstantPowerModel::fit(const TraceRates &rates)
 {
-    if (trace.empty())
+    if (rates.size() == 0)
         fatal("%s: empty training trace", name_.c_str());
     double acc = 0.0;
     uint64_t used = 0;
-    for (const AlignedSample &sample : trace.samples()) {
-        const double w = sample.measured(rail_);
+    for (const double w : rates.trace().measuredColumn(rail_)) {
         if (!std::isfinite(w))
             continue;
         acc += w;
@@ -379,56 +371,10 @@ ConstantPowerModel::setCoefficients(const std::vector<double> &coeffs)
 
 // ------------------------------------------------------------ chipset
 
-ChipsetPowerModel::ChipsetPowerModel() = default;
-
-Watts
-ChipsetPowerModel::estimate(const EventVector & /* events */) const
-{
-    if (!trained_)
-        panic("ChipsetPowerModel::estimate before training");
-    return constant_;
-}
-
-void
-ChipsetPowerModel::train(const SampleTrace &trace)
-{
-    if (trace.empty())
-        fatal("ChipsetPowerModel: empty training trace");
-    double acc = 0.0;
-    uint64_t used = 0;
-    for (const AlignedSample &sample : trace.samples()) {
-        const double w = sample.measured(Rail::Chipset);
-        if (!std::isfinite(w))
-            continue;
-        acc += w;
-        ++used;
-    }
-    if (used == 0)
-        fatal("ChipsetPowerModel: no finite measured samples");
-    constant_ = acc / static_cast<double>(used);
-    trained_ = true;
-}
-
 std::string
 ChipsetPowerModel::describe() const
 {
-    return formatString("P_chipset = %.3f (constant)", constant_);
-}
-
-std::vector<double>
-ChipsetPowerModel::coefficients() const
-{
-    return {constant_};
-}
-
-void
-ChipsetPowerModel::setCoefficients(const std::vector<double> &coeffs)
-{
-    if (coeffs.size() != 1)
-        fatal("ChipsetPowerModel: expected 1 coefficient, got %zu",
-              coeffs.size());
-    constant_ = coeffs[0];
-    trained_ = true;
+    return formatString("P_chipset = %.3f (constant)", coefficients()[0]);
 }
 
 } // namespace tdp

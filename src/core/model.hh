@@ -37,8 +37,11 @@ class SubsystemModel
     /** Estimate the subsystem power for one sample (W). */
     virtual Watts estimate(const EventVector &events) const = 0;
 
+    /** Fit coefficients to a training trace's derived rates. */
+    virtual void fit(const TraceRates &rates) = 0;
+
     /** Fit coefficients from an aligned training trace. */
-    virtual void train(const SampleTrace &trace) = 0;
+    void train(const SampleTrace &trace) { fit(TraceRates(trace)); }
 
     /** True once coefficients are available. */
     virtual bool trained() const = 0;
@@ -66,7 +69,7 @@ class CpuPowerModel : public SubsystemModel
     Rail rail() const override { return Rail::Cpu; }
     const std::string &name() const override { return name_; }
     Watts estimate(const EventVector &events) const override;
-    void train(const SampleTrace &trace) override;
+    void fit(const TraceRates &rates) override;
     bool trained() const override { return trained_; }
     std::string describe() const override;
     std::vector<double> coefficients() const override;
@@ -107,7 +110,7 @@ class QuadraticEventModel : public SubsystemModel
     Rail rail() const override { return rail_; }
     const std::string &name() const override { return name_; }
     Watts estimate(const EventVector &events) const override;
-    void train(const SampleTrace &trace) override;
+    void fit(const TraceRates &rates) override;
     bool trained() const override { return trained_; }
     std::string describe() const override;
     std::vector<double> coefficients() const override;
@@ -144,7 +147,7 @@ class DiskPowerModel : public SubsystemModel
     Rail rail() const override { return Rail::Disk; }
     const std::string &name() const override { return name_; }
     Watts estimate(const EventVector &events) const override;
-    void train(const SampleTrace &trace) override;
+    void fit(const TraceRates &rates) override;
     bool trained() const override { return trained_; }
     std::string describe() const override;
     std::vector<double> coefficients() const override;
@@ -169,12 +172,13 @@ class DiskPowerModel : public SubsystemModel
 class ConstantPowerModel : public SubsystemModel
 {
   public:
-    explicit ConstantPowerModel(Rail rail);
+    /** @param name model name; "<rail>-const" when empty. */
+    explicit ConstantPowerModel(Rail rail, std::string name = "");
 
     Rail rail() const override { return rail_; }
     const std::string &name() const override { return name_; }
     Watts estimate(const EventVector &events) const override;
-    void train(const SampleTrace &trace) override;
+    void fit(const TraceRates &rates) override;
     bool trained() const override { return trained_; }
     std::string describe() const override;
     std::vector<double> coefficients() const override;
@@ -188,24 +192,14 @@ class ConstantPowerModel : public SubsystemModel
 };
 
 /** The paper's chipset model: a fitted constant (section 4.2.5). */
-class ChipsetPowerModel : public SubsystemModel
+class ChipsetPowerModel : public ConstantPowerModel
 {
   public:
-    ChipsetPowerModel();
+    ChipsetPowerModel() : ConstantPowerModel(Rail::Chipset, "chipset-const")
+    {
+    }
 
-    Rail rail() const override { return Rail::Chipset; }
-    const std::string &name() const override { return name_; }
-    Watts estimate(const EventVector &events) const override;
-    void train(const SampleTrace &trace) override;
-    bool trained() const override { return trained_; }
     std::string describe() const override;
-    std::vector<double> coefficients() const override;
-    void setCoefficients(const std::vector<double> &coeffs) override;
-
-  private:
-    std::string name_ = "chipset-const";
-    double constant_ = 0.0;
-    bool trained_ = false;
 };
 
 } // namespace tdp

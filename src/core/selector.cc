@@ -39,15 +39,12 @@ const MetricDef metricDefs[] = {
 
 /** One rate's across-CPU total per sample of a trace. */
 std::vector<double>
-totalColumn(const SampleTrace &trace, double CpuEventRates::*field)
+totalColumn(const TraceRates &rates, double CpuEventRates::*field)
 {
     std::vector<double> out;
-    out.reserve(trace.size());
-    EventVector events;
-    for (const AlignedSample &s : trace.samples()) {
-        EventVector::fromSampleInto(s, events);
-        out.push_back(events.total(field));
-    }
+    out.reserve(rates.size());
+    for (size_t i = 0; i < rates.size(); ++i)
+        out.push_back(rates.total(i, field));
     return out;
 }
 
@@ -68,7 +65,7 @@ EventSelector::metricColumn(const SampleTrace &trace,
 {
     for (const MetricDef &def : metricDefs) {
         if (metric == def.name)
-            return totalColumn(trace, def.field);
+            return totalColumn(TraceRates(trace), def.field);
     }
     fatal("EventSelector: unknown metric '%s'", metric.c_str());
 }
@@ -80,11 +77,12 @@ EventSelector::rank(const SampleTrace &trace, Rail rail)
         fatal("EventSelector: trace too short (%zu samples)",
               trace.size());
     const std::vector<double> &power = trace.measuredColumn(rail);
+    const TraceRates rates(trace);
 
     std::vector<EventCorrelation> out;
     for (const MetricDef &def : metricDefs)
         out.push_back(EventCorrelation{
-            def.name, pearson(totalColumn(trace, def.field), power)});
+            def.name, pearson(totalColumn(rates, def.field), power)});
     std::stable_sort(out.begin(), out.end(),
                      [](const EventCorrelation &a,
                         const EventCorrelation &b) {

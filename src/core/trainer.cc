@@ -6,8 +6,10 @@
 #include "core/trainer.hh"
 
 #include <cmath>
+#include <vector>
 
 #include "common/logging.hh"
+#include "measure/trace_io.hh"
 #include "obs/span_tracer.hh"
 #include "obs/stats_registry.hh"
 
@@ -43,7 +45,7 @@ namespace {
 
 /** Comma-joined rail names with registered traces, or "none". */
 std::string
-registeredRails(const std::map<int, SampleTrace> &traces)
+registeredRails(const auto &traces)
 {
     std::string names;
     for (const auto &entry : traces) {
@@ -62,7 +64,14 @@ ModelTrainer::setTrainingTrace(Rail rail, const SampleTrace &trace)
     if (trace.empty())
         fatal("ModelTrainer: empty training trace for %s",
               railName(rail));
-    traces_[static_cast<int>(rail)] = trace;
+    for (const auto &entry : traces_) {
+        if (traceBitIdentical(*entry.second, trace)) {
+            traces_[static_cast<int>(rail)] = entry.second;
+            return;
+        }
+    }
+    traces_[static_cast<int>(rail)] =
+        std::make_shared<const SampleTrace>(trace);
 }
 
 bool
@@ -84,17 +93,18 @@ ModelTrainer::trainingTrace(Rail rail) const
               "setTrainingTrace(Rail::%s, trace).",
               railName(rail), registeredRails(traces_).c_str(),
               railName(rail));
-    return it->second;
+    return *it->second;
 }
 
-SampleTrace
+const SampleTrace &
 ModelTrainer::cleanTrace(const SampleTrace &trace, Rail rail,
-                         TrainingReport::RailCleaning &counts) const
+                         TrainingReport::RailCleaning &counts,
+                         SampleTrace &scrubbed) const
 {
-    SampleTrace clean;
-    clean.reserve(trace.size());
-    for (const AlignedSample &sample : trace.samples()) {
-        const double w = sample.measured(rail);
+    const std::vector<double> &measured = trace.measuredColumn(rail);
+    std::vector<size_t> kept;
+    for (size_t i = 0; i < measured.size(); ++i) {
+        const double w = measured[i];
         if (!std::isfinite(w)) {
             ++counts.discardedNonFinite;
             continue;
@@ -104,30 +114,39 @@ ModelTrainer::cleanTrace(const SampleTrace &trace, Rail rail,
             ++counts.discardedOutlier;
             continue;
         }
-        clean.add(AlignedSample(sample));
+        kept.push_back(i);
         ++counts.kept;
     }
-    return clean;
+    if (kept.size() == trace.size())
+        return trace;
+    scrubbed = trace.subset(kept);
+    return scrubbed;
 }
 
 TrainingReport
 ModelTrainer::train(SystemPowerEstimator &estimator) const
 {
     TrainingReport report;
+    // One rate table per distinct scrubbed trace: rails sharing a
+    // registered trace that their scrubs left whole share its table.
+    std::array<SampleTrace, numRails> scrubbed;
+    std::vector<std::unique_ptr<TraceRates>> rates;
+    auto rates_for = [&rates](const SampleTrace &trace)
+        -> const TraceRates & {
+        for (const auto &table : rates)
+            if (&table->trace() == &trace)
+                return *table;
+        rates.push_back(std::make_unique<TraceRates>(trace));
+        return *rates.back();
+    };
     for (int r = 0; r < numRails; ++r) {
         const Rail rail = static_cast<Rail>(r);
-        auto it = traces_.find(r);
-        if (it == traces_.end())
-            fatal("ModelTrainer: no training trace registered for "
-                  "rail %s; registered rails: %s. Register one with "
-                  "setTrainingTrace(Rail::%s, trace).",
-                  railName(rail), registeredRails(traces_).c_str(),
-                  railName(rail));
+        const SampleTrace &registered = trainingTrace(rail);
         auto &counts = report.rails[static_cast<size_t>(r)];
         obs::TraceSpan span(
             "train", std::string("fit:") + railName(rail));
-        const SampleTrace clean =
-            cleanTrace(it->second, rail, counts);
+        const SampleTrace &clean = cleanTrace(
+            registered, rail, counts, scrubbed[static_cast<size_t>(r)]);
         if (clean.empty())
             fatal("ModelTrainer: every sample of the %s training "
                   "trace was discarded (%llu non-finite, %llu "
@@ -141,13 +160,13 @@ ModelTrainer::train(SystemPowerEstimator &estimator) const
             warn("ModelTrainer: discarded %llu of %llu %s training "
                  "samples (%llu non-finite, %llu outlier)",
                  static_cast<unsigned long long>(counts.discarded()),
-                 static_cast<unsigned long long>(it->second.size()),
+                 static_cast<unsigned long long>(registered.size()),
                  railName(rail),
                  static_cast<unsigned long long>(
                      counts.discardedNonFinite),
                  static_cast<unsigned long long>(
                      counts.discardedOutlier));
-        estimator.trainRail(rail, clean);
+        estimator.trainRail(rail, rates_for(clean));
         span.arg("kept", static_cast<double>(counts.kept));
         auto &reg = obs::StatsRegistry::global();
         if (reg.enabled()) {

@@ -17,6 +17,7 @@
 
 #include <array>
 #include <map>
+#include <memory>
 #include <string>
 
 #include "core/estimator.hh"
@@ -78,7 +79,8 @@ class ModelTrainer
     /**
      * Register the training trace for a rail. The paper's choices:
      * CPU <- staggered gcc, memory <- staggered mcf, disk and I/O <-
-     * the synthetic DiskLoad, chipset <- any (constant fit).
+     * the synthetic DiskLoad, chipset <- any (constant fit). Rails
+     * registered with bit-identical traces share one stored copy.
      */
     void setTrainingTrace(Rail rail, const SampleTrace &trace);
 
@@ -88,7 +90,8 @@ class ModelTrainer
     /**
      * Train all models of the estimator (primaries and fallback
      * rungs) on their rails' scrubbed traces, reporting how many
-     * samples each rail's scrub discarded.
+     * samples each rail's scrub discarded. Rates are derived once
+     * per distinct scrubbed trace.
      */
     TrainingReport train(SystemPowerEstimator &estimator) const;
 
@@ -96,15 +99,18 @@ class ModelTrainer
     const SampleTrace &trainingTrace(Rail rail) const;
 
     /**
-     * A copy of a trace with the samples unusable for fitting this
-     * rail removed: non-finite or implausible measured values.
+     * The trace with the samples unusable for fitting this rail
+     * removed: non-finite or implausible measured values. Returns
+     * @p trace itself when nothing is discarded; otherwise fills
+     * @p scrubbed with the kept samples and returns it.
      */
-    SampleTrace cleanTrace(const SampleTrace &trace, Rail rail,
-                           TrainingReport::RailCleaning &counts) const;
+    const SampleTrace &cleanTrace(const SampleTrace &trace, Rail rail,
+                                  TrainingReport::RailCleaning &counts,
+                                  SampleTrace &scrubbed) const;
 
   private:
     Policy policy_;
-    std::map<int, SampleTrace> traces_;
+    std::map<int, std::shared_ptr<const SampleTrace>> traces_;
 };
 
 } // namespace tdp

@@ -49,17 +49,6 @@ Validator::validate(const std::string &workload,
     return result;
 }
 
-std::vector<ValidationResult>
-Validator::validateAll(
-    const std::vector<std::pair<std::string, SampleTrace>> &traces) const
-{
-    std::vector<ValidationResult> out;
-    out.reserve(traces.size());
-    for (const auto &[name, trace] : traces)
-        out.push_back(validate(name, trace));
-    return out;
-}
-
 ValidationResult
 Validator::average(const std::vector<ValidationResult> &results,
                    const std::string &label)

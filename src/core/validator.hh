@@ -58,11 +58,6 @@ class Validator
     ValidationResult validate(const std::string &workload,
                               const SampleTrace &trace) const;
 
-    /** Validate several; results keep insertion order. */
-    std::vector<ValidationResult> validateAll(
-        const std::vector<std::pair<std::string, SampleTrace>> &traces)
-        const;
-
     /** Column-wise mean of several results. */
     static ValidationResult average(
         const std::vector<ValidationResult> &results,

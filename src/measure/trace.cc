@@ -22,63 +22,95 @@ AlignedSample::totalCount(PerfEvent event) const
     return total;
 }
 
-CounterSnapshot
-AlignedSample::totalCounts() const
+void
+SampleTrace::add(const AlignedSample &sample)
 {
-    CounterSnapshot total;
-    for (const CounterSnapshot &snap : perCpu)
-        total += snap;
-    return total;
+    const size_t cpus = sample.perCpu.size();
+    if (cpus == 0)
+        fatal("SampleTrace::add: sample with no CPUs");
+    if (cpuCount_ == 0)
+        cpuCount_ = cpus;
+    else if (cpus != cpuCount_)
+        fatal("SampleTrace::add: sample with %zu CPUs in a trace of "
+              "%zu CPUs",
+              cpus, cpuCount_);
+    columns_[timeColumn].push_back(sample.time);
+    columns_[intervalColumn].push_back(sample.interval);
+    columns_[irqTotalColumn].push_back(sample.osInterruptsTotal);
+    columns_[irqDiskColumn].push_back(sample.osDiskInterrupts);
+    columns_[irqDeviceColumn].push_back(sample.osDeviceInterrupts);
+    for (int r = 0; r < numRails; ++r)
+        columns_[firstRailColumn + static_cast<size_t>(r)].push_back(
+            sample.measuredWatts[static_cast<size_t>(r)]);
+    for (size_t e = 0; e < numPerfEvents; ++e)
+        for (const CounterSnapshot &snap : sample.perCpu)
+            columns_[firstCounterColumn + e].push_back(snap.counts[e]);
 }
 
-const SampleTrace::Columns &
-SampleTrace::columns() const
+AlignedSample
+SampleTrace::row(size_t i) const
 {
-    if (columnsValid_)
-        return columns_;
-    for (auto &column : columns_.measured) {
-        column.clear();
-        column.reserve(samples_.size());
-    }
-    for (auto &column : columns_.counters) {
-        column.clear();
-        column.reserve(samples_.size());
-    }
-    for (const AlignedSample &s : samples_) {
-        for (int r = 0; r < numRails; ++r)
-            columns_.measured[static_cast<size_t>(r)].push_back(
-                s.measured(static_cast<Rail>(r)));
-        // One sweep across the CPUs replaces ten; the per-event
-        // totals (and therefore the columns) are unchanged.
-        const CounterSnapshot totals = s.totalCounts();
+    AlignedSample s;
+    s.time = columns_[timeColumn][i];
+    s.interval = columns_[intervalColumn][i];
+    s.osInterruptsTotal = columns_[irqTotalColumn][i];
+    s.osDiskInterrupts = columns_[irqDiskColumn][i];
+    s.osDeviceInterrupts = columns_[irqDeviceColumn][i];
+    for (int r = 0; r < numRails; ++r)
+        s.measuredWatts[static_cast<size_t>(r)] =
+            measuredColumn(static_cast<Rail>(r))[i];
+    s.perCpu.resize(cpuCount_);
+    for (size_t c = 0; c < cpuCount_; ++c)
         for (int e = 0; e < numPerfEvents; ++e)
-            columns_.counters[static_cast<size_t>(e)].push_back(
-                totals.counts[static_cast<size_t>(e)]);
-    }
-    columnsValid_ = true;
-    return columns_;
+            s.perCpu[c][static_cast<PerfEvent>(e)] =
+                count(i, c, static_cast<PerfEvent>(e));
+    return s;
 }
 
-const std::vector<double> &
-SampleTrace::measuredColumn(Rail rail) const
+std::vector<AlignedSample>
+SampleTrace::rows() const
 {
-    return columns().measured[static_cast<size_t>(rail)];
+    std::vector<AlignedSample> out;
+    for (size_t i = 0; i < size(); ++i)
+        out.push_back(row(i));
+    return out;
 }
 
-const std::vector<double> &
+std::vector<double>
 SampleTrace::counterColumn(PerfEvent event) const
 {
-    return columns().counters[static_cast<size_t>(event)];
+    std::vector<double> out(size(), 0.0);
+    for (size_t i = 0; i < out.size(); ++i)
+        for (size_t c = 0; c < cpuCount_; ++c)
+            out[i] += count(i, c, event);
+    return out;
+}
+
+SampleTrace
+SampleTrace::subset(const std::vector<size_t> &rows) const
+{
+    SampleTrace out;
+    out.cpuCount_ = cpuCount_;
+    for (size_t k = 0; k < numColumns; ++k) {
+        const size_t width = k < firstCounterColumn ? 1 : cpuCount_;
+        const std::vector<double> &from = columns_[k];
+        std::vector<double> &to = out.columns_[k];
+        to.reserve(rows.size() * width);
+        for (const size_t i : rows)
+            to.insert(to.end(), from.begin() + i * width,
+                      from.begin() + (i + 1) * width);
+    }
+    return out;
 }
 
 SampleTrace
 SampleTrace::slice(Seconds from, Seconds to) const
 {
-    SampleTrace out;
-    for (const AlignedSample &s : samples_)
-        if (s.time >= from && s.time < to)
-            out.add(s);
-    return out;
+    std::vector<size_t> rows;
+    for (size_t i = 0; i < size(); ++i)
+        if (time(i) >= from && time(i) < to)
+            rows.push_back(i);
+    return subset(rows);
 }
 
 void
@@ -95,7 +127,7 @@ SampleTrace::writeCsv(std::ostream &os) const
                          railName(static_cast<Rail>(r)));
     csv.writeRow(header);
 
-    for (const AlignedSample &s : samples_) {
+    for (const AlignedSample &s : rows()) {
         std::vector<std::string> row;
         row.push_back(TableWriter::num(s.time, 3));
         row.push_back(TableWriter::num(s.interval, 6));

@@ -8,6 +8,7 @@
 #define TDP_MEASURE_TRACE_HH
 
 #include <array>
+#include <cstdint>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -47,13 +48,6 @@ struct AlignedSample
     /** Sum of one counter across CPUs. */
     double totalCount(PerfEvent event) const;
 
-    /**
-     * All ten counters summed across CPUs in one pass;
-     * bit-identical to calling totalCount() per event (same per-CPU
-     * addition order).
-     */
-    CounterSnapshot totalCounts() const;
-
     /** Measured power for one rail (W). */
     double
     measured(Rail rail) const
@@ -62,45 +56,82 @@ struct AlignedSample
     }
 };
 
-/** An aligned trace with export and column-extraction helpers. */
+/**
+ * An aligned trace stored as columns. The CPU count is fixed per
+ * trace, so each value lives in one of numColumns contiguous arrays:
+ * time, interval and the three interrupt deltas, then the five rails'
+ * watts (one value per sample each), then one block per counter with
+ * cpuCount() values per sample (sample major, CPU minor). The TDPT v3
+ * payload is these columns in this order. The trace holds no derived
+ * state, so a const trace can be read from any number of threads.
+ */
 class SampleTrace
 {
   public:
-    /** Append one sample. */
-    void
-    add(AlignedSample sample)
-    {
-        samples_.push_back(std::move(sample));
-        columnsValid_ = false;
-    }
-
-    /** Reserve storage for @p count samples. */
-    void reserve(size_t count) { samples_.reserve(count); }
-
-    /** The samples, in time order. */
-    const std::vector<AlignedSample> &samples() const { return samples_; }
-
-    /** Number of samples. */
-    size_t size() const { return samples_.size(); }
-
-    /** True when no samples were collected. */
-    bool empty() const { return samples_.empty(); }
-
-    /** Access one sample. */
-    const AlignedSample &operator[](size_t i) const { return samples_[i]; }
+    /** Storage indices of the columns. */
+    static constexpr size_t timeColumn = 0;
+    static constexpr size_t intervalColumn = 1;
+    static constexpr size_t irqTotalColumn = 2;
+    static constexpr size_t irqDiskColumn = 3;
+    static constexpr size_t irqDeviceColumn = 4;
+    static constexpr size_t firstRailColumn = 5;
+    static constexpr size_t firstCounterColumn = firstRailColumn + numRails;
+    static constexpr size_t numColumns = firstCounterColumn + numPerfEvents;
 
     /**
-     * Measured power column for one rail: a contiguous double array
-     * the metrics stream over directly. Served from a lazily built
-     * structure-of-arrays mirror of the samples, so repeated column
-     * access (the Eq. 6 sweep touches every rail of every trace)
-     * costs one pass over the samples total instead of one per call.
-     * The reference is invalidated by the next add().
+     * Append one sample. The first sample fixes the CPU count;
+     * fatal() on a sample with no CPUs or with another CPU count.
      */
-    const std::vector<double> &measuredColumn(Rail rail) const;
+    void add(const AlignedSample &sample);
 
-    /** Summed counter column for one event (same contract). */
-    const std::vector<double> &counterColumn(PerfEvent event) const;
+    /** Number of samples. */
+    size_t size() const { return columns_[timeColumn].size(); }
+
+    /** True when no samples were collected. */
+    bool empty() const { return size() == 0; }
+
+    /** CPUs per sample (0 until the first sample fixes it). */
+    size_t cpuCount() const { return cpuCount_; }
+
+    /** Column @p index in storage order. */
+    const std::vector<double> &
+    column(size_t index) const
+    {
+        return columns_[index];
+    }
+
+    /** Measured power column for one rail: the storage itself. */
+    const std::vector<double> &
+    measuredColumn(Rail rail) const
+    {
+        return columns_[firstRailColumn + static_cast<size_t>(rail)];
+    }
+
+    /** Window end time of sample @p i. */
+    Seconds time(size_t i) const { return columns_[timeColumn][i]; }
+
+    /** Counter @p event of CPU @p cpu in sample @p i. */
+    double
+    count(size_t i, size_t cpu, PerfEvent event) const
+    {
+        return columns_[firstCounterColumn + static_cast<size_t>(event)]
+                       [i * cpuCount_ + cpu];
+    }
+
+    /** Sample @p i as a new AlignedSample, for cold code. */
+    AlignedSample row(size_t i) const;
+
+    /** Every sample as an AlignedSample, for cold code. */
+    std::vector<AlignedSample> rows() const;
+
+    /**
+     * One counter summed across CPUs per sample, computed on demand
+     * in CPU order (bit-identical to AlignedSample::totalCount).
+     */
+    std::vector<double> counterColumn(PerfEvent event) const;
+
+    /** The given samples, in the given order, as a new trace. */
+    SampleTrace subset(const std::vector<size_t> &rows) const;
 
     /** Keep only samples with time in [from, to). */
     SampleTrace slice(Seconds from, Seconds to) const;
@@ -118,25 +149,13 @@ class SampleTrace
     static SampleTrace readCsv(std::istream &is, int cpu_count = 4);
 
   private:
-    /** SoA mirror of the samples, one contiguous array per column. */
-    struct Columns
-    {
-        std::array<std::vector<double>, numRails> measured;
-        std::array<std::vector<double>, numPerfEvents> counters;
-    };
+    /** The binary decoder reads the payload straight into columns_. */
+    friend bool tryReadTraceBinary(std::istream &is, SampleTrace &out,
+                                   uint64_t *fingerprint,
+                                   std::string *error);
 
-    /**
-     * The column mirror, (re)built on first access after a
-     * mutation. Mutable cache only: it never influences observable
-     * state. Concurrent first access from several threads is not
-     * synchronised - share a trace across threads only after priming
-     * it, or give each thread its own copy.
-     */
-    const Columns &columns() const;
-
-    std::vector<AlignedSample> samples_;
-    mutable Columns columns_;
-    mutable bool columnsValid_ = false;
+    size_t cpuCount_ = 0;
+    std::array<std::vector<double>, numColumns> columns_;
 };
 
 } // namespace tdp

@@ -5,8 +5,11 @@
 
 #include "measure/trace_io.hh"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstring>
+#include <vector>
 #include <istream>
 #include <ostream>
 
@@ -18,8 +21,9 @@ namespace {
 
 constexpr char traceMagic[4] = {'T', 'D', 'P', 'T'};
 
-/** Bytes of a sample with no CPUs: ten doubles and the cpuCount word. */
-constexpr uint64_t minSampleBytes = 8 * (5 + numRails) + 4;
+/** Bytes of the header (see trace_io.hh). */
+constexpr size_t headerBytes = 4 + 4 * 4 + 8 * 4;
+
 
 /** Append an integer LSB-first. */
 template <typename T>
@@ -30,89 +34,32 @@ appendLe(std::string &out, T value)
         out.push_back(static_cast<char>((value >> (8 * i)) & 0xff));
 }
 
-/** Append a double as its little-endian bit pattern. */
+/** Reverse each double's bytes on big-endian hosts (a no-op on
+ *  little-endian ones, where storage order is the file's order). */
 void
-appendDouble(std::string &out, double value)
+toFromLittleEndian(std::vector<double> &values)
 {
-    uint64_t bits;
-    std::memcpy(&bits, &value, sizeof(bits));
-    appendLe(out, bits);
+    if constexpr (std::endian::native != std::endian::little) {
+        for (double &value : values) {
+            unsigned char bytes[sizeof(double)];
+            std::memcpy(bytes, &value, sizeof(double));
+            std::reverse(bytes, bytes + sizeof(double));
+            std::memcpy(&value, bytes, sizeof(double));
+        }
+    }
 }
 
-/** Cursor over a byte buffer; all reads are bounds-checked. */
-class ByteReader
+/** Read a little-endian integer; any host byte order. */
+template <typename T>
+T
+loadLe(const char *bytes)
 {
-  public:
-    explicit ByteReader(const std::string &bytes) : bytes_(bytes) {}
-
-    bool
-    ok() const
-    {
-        return ok_;
-    }
-
-    size_t
-    remaining() const
-    {
-        return bytes_.size() - pos_;
-    }
-
-    template <typename T>
-    T
-    readLe()
-    {
-        if (remaining() < sizeof(T)) {
-            ok_ = false;
-            return T{};
-        }
-        T value{};
-        if constexpr (std::endian::native == std::endian::little) {
-            std::memcpy(&value, bytes_.data() + pos_, sizeof(T));
-        } else {
-            for (size_t i = 0; i < sizeof(T); ++i) {
-                value |= static_cast<T>(static_cast<unsigned char>(
-                             bytes_[pos_ + i]))
-                         << (8 * i);
-            }
-        }
-        pos_ += sizeof(T);
-        return value;
-    }
-
-    double
-    readDouble()
-    {
-        const uint64_t bits = readLe<uint64_t>();
-        double value;
-        std::memcpy(&value, &bits, sizeof(value));
-        return value;
-    }
-
-    /** Read @p count consecutive doubles into @p out. */
-    void
-    readDoubles(double *out, size_t count)
-    {
-        if constexpr (std::endian::native == std::endian::little) {
-            if (remaining() < count * sizeof(double)) {
-                // Exhaust the cursor so later reads fail too, as they
-                // would after a field-by-field read ran out.
-                ok_ = false;
-                pos_ = bytes_.size();
-                return;
-            }
-            std::memcpy(out, bytes_.data() + pos_, count * sizeof(double));
-            pos_ += count * sizeof(double);
-        } else {
-            for (size_t i = 0; i < count; ++i)
-                out[i] = readDouble();
-        }
-    }
-
-  private:
-    const std::string &bytes_;
-    size_t pos_ = 0;
-    bool ok_ = true;
-};
+    T value = 0;
+    for (size_t i = 0; i < sizeof(T); ++i)
+        value |= static_cast<T>(static_cast<unsigned char>(bytes[i]))
+                 << (8 * i);
+    return value;
+}
 
 bool
 fail(std::string *error, const std::string &reason)
@@ -128,23 +75,17 @@ void
 writeTraceBinary(std::ostream &os, const SampleTrace &trace,
                  uint64_t fingerprint)
 {
-    std::string payload;
-    // header-less estimate: 10 doubles + rails + one 4-CPU PMU block.
-    payload.reserve(trace.size() *
-                    (8 * (5 + numRails) + 4 + 8 * 4 * numPerfEvents));
-    for (const AlignedSample &s : trace.samples()) {
-        appendDouble(payload, s.time);
-        appendDouble(payload, s.interval);
-        appendDouble(payload, s.osInterruptsTotal);
-        appendDouble(payload, s.osDiskInterrupts);
-        appendDouble(payload, s.osDeviceInterrupts);
-        for (int r = 0; r < numRails; ++r)
-            appendDouble(payload, s.measuredWatts[static_cast<size_t>(r)]);
-        appendLe(payload, static_cast<uint32_t>(s.perCpu.size()));
-        for (const CounterSnapshot &snap : s.perCpu)
-            for (int e = 0; e < numPerfEvents; ++e)
-                appendDouble(payload,
-                             snap.counts[static_cast<size_t>(e)]);
+    // The payload is the columns in storage order, little-endian;
+    // each column's checksum seeds the next one's.
+    std::array<std::vector<double>, SampleTrace::numColumns> payload;
+    uint64_t checksum = 0;
+    uint64_t payload_bytes = 0;
+    for (size_t k = 0; k < SampleTrace::numColumns; ++k) {
+        payload[k] = trace.column(k);
+        toFromLittleEndian(payload[k]);
+        checksum = checksum64(payload[k].data(),
+                              payload[k].size() * sizeof(double), checksum);
+        payload_bytes += payload[k].size() * sizeof(double);
     }
 
     std::string header;
@@ -152,14 +93,17 @@ writeTraceBinary(std::ostream &os, const SampleTrace &trace,
     appendLe(header, traceFormatVersion);
     appendLe(header, static_cast<uint32_t>(numPerfEvents));
     appendLe(header, static_cast<uint32_t>(numRails));
+    appendLe(header, static_cast<uint32_t>(trace.cpuCount()));
     appendLe(header, fingerprint);
     appendLe(header, static_cast<uint64_t>(trace.size()));
-    appendLe(header, static_cast<uint64_t>(payload.size()));
-    appendLe(header, checksum64(payload.data(), payload.size()));
+    appendLe(header, payload_bytes);
+    appendLe(header, checksum);
 
     os.write(header.data(), static_cast<std::streamsize>(header.size()));
-    os.write(payload.data(),
-             static_cast<std::streamsize>(payload.size()));
+    for (const std::vector<double> &column : payload)
+        os.write(reinterpret_cast<const char *>(column.data()),
+                 static_cast<std::streamsize>(column.size() *
+                                              sizeof(double)));
     if (!os)
         fatal("writeTraceBinary: stream write failed");
 }
@@ -168,23 +112,21 @@ bool
 tryReadTraceBinary(std::istream &is, SampleTrace &out,
                    uint64_t *fingerprint, std::string *error)
 {
-    constexpr size_t headerSize = 4 + 4 * 3 + 8 * 4;
-    std::string header(headerSize, '\0');
-    is.read(&header[0], static_cast<std::streamsize>(headerSize));
-    if (static_cast<size_t>(is.gcount()) != headerSize)
+    char header[headerBytes];
+    is.read(header, static_cast<std::streamsize>(headerBytes));
+    if (static_cast<size_t>(is.gcount()) != headerBytes)
         return fail(error, "truncated header");
-    if (std::memcmp(header.data(), traceMagic, sizeof(traceMagic)) != 0)
+    if (std::memcmp(header, traceMagic, sizeof(traceMagic)) != 0)
         return fail(error, "bad magic (not a binary trace)");
 
-    ByteReader head(header);
-    head.readLe<uint32_t>(); // magic, already checked
-    const uint32_t version = head.readLe<uint32_t>();
-    const uint32_t event_count = head.readLe<uint32_t>();
-    const uint32_t rail_count = head.readLe<uint32_t>();
-    const uint64_t key = head.readLe<uint64_t>();
-    const uint64_t sample_count = head.readLe<uint64_t>();
-    const uint64_t payload_bytes = head.readLe<uint64_t>();
-    const uint64_t checksum = head.readLe<uint64_t>();
+    const uint32_t version = loadLe<uint32_t>(header + 4);
+    const uint32_t event_count = loadLe<uint32_t>(header + 8);
+    const uint32_t rail_count = loadLe<uint32_t>(header + 12);
+    const uint32_t cpu_count = loadLe<uint32_t>(header + 16);
+    const uint64_t key = loadLe<uint64_t>(header + 20);
+    const uint64_t sample_count = loadLe<uint64_t>(header + 28);
+    const uint64_t payload_bytes = loadLe<uint64_t>(header + 36);
+    const uint64_t checksum = loadLe<uint64_t>(header + 44);
 
     if (version != traceFormatVersion) {
         return fail(error,
@@ -199,54 +141,52 @@ tryReadTraceBinary(std::istream &is, SampleTrace &out,
                                  event_count, rail_count,
                                  numPerfEvents, numRails));
     }
-    // An absurd payload size (e.g. a bit flip in the length field)
-    // must not drive a multi-gigabyte allocation; the per-sample
-    // minimum of one cpuCount word bounds it instead.
+    // Every size check runs on header values alone, before anything
+    // is allocated: a bit flip in a length field must not drive a
+    // multi-gigabyte allocation.
     if (payload_bytes > (1ull << 32))
         return fail(error, "payload length implausibly large");
-    // Every sample takes at least minSampleBytes, so a corrupt count
-    // cannot drive the sample reservation below past the payload.
-    if (sample_count > payload_bytes / minSampleBytes) {
+    if (cpu_count > 4096)
         return fail(error,
-                    formatString("sample count %llu cannot fit in %llu "
-                                 "payload bytes",
+                    formatString("implausible CPU count %u", cpu_count));
+    if (cpu_count == 0 && sample_count > 0)
+        return fail(error, "samples with no CPUs");
+    // The payload is exactly sample_count rows of this many bytes.
+    // row_bytes is at most ~320 KB and the payload at most 4 GiB, so
+    // the division keeps the product below from overflowing.
+    const uint64_t row_bytes =
+        8 * (SampleTrace::firstCounterColumn +
+             uint64_t{cpu_count} * numPerfEvents);
+    if (sample_count > payload_bytes / row_bytes ||
+        sample_count * row_bytes != payload_bytes) {
+        return fail(error,
+                    formatString("sample count %llu of %u CPUs cannot "
+                                 "fit in %llu payload bytes",
                                  static_cast<unsigned long long>(
                                      sample_count),
+                                 cpu_count,
                                  static_cast<unsigned long long>(
                                      payload_bytes)));
     }
 
-    std::string payload(static_cast<size_t>(payload_bytes), '\0');
-    is.read(payload.empty() ? nullptr : &payload[0],
-            static_cast<std::streamsize>(payload_bytes));
-    if (static_cast<uint64_t>(is.gcount()) != payload_bytes)
-        return fail(error, "truncated payload");
-    if (checksum64(payload.data(), payload.size()) != checksum)
-        return fail(error, "payload checksum mismatch");
-
+    // The payload is the storage: read each column straight into
+    // place, chaining its checksum into the next column's seed.
     SampleTrace trace;
-    trace.reserve(static_cast<size_t>(sample_count));
-    ByteReader body(payload);
-    for (uint64_t i = 0; i < sample_count; ++i) {
-        AlignedSample s;
-        s.time = body.readDouble();
-        s.interval = body.readDouble();
-        s.osInterruptsTotal = body.readDouble();
-        s.osDiskInterrupts = body.readDouble();
-        s.osDeviceInterrupts = body.readDouble();
-        body.readDoubles(s.measuredWatts.data(), numRails);
-        const uint32_t cpu_count = body.readLe<uint32_t>();
-        if (cpu_count > 4096)
-            return fail(error, "implausible per-sample CPU count");
-        s.perCpu.resize(cpu_count);
-        for (CounterSnapshot &snap : s.perCpu)
-            body.readDoubles(snap.counts.data(), numPerfEvents);
-        if (!body.ok())
-            return fail(error, "payload shorter than sample count");
-        trace.add(std::move(s));
+    trace.cpuCount_ = cpu_count;
+    uint64_t sum = 0;
+    for (size_t k = 0; k < SampleTrace::numColumns; ++k) {
+        std::vector<double> &column = trace.columns_[k];
+        column.resize(static_cast<size_t>(sample_count) *
+                      (k < SampleTrace::firstCounterColumn ? 1 : cpu_count));
+        const size_t len = column.size() * sizeof(double);
+        char *bytes = reinterpret_cast<char *>(column.data());
+        if (len > 0 && !is.read(bytes, static_cast<std::streamsize>(len)))
+            return fail(error, "truncated payload");
+        sum = checksum64(bytes, len, sum);
+        toFromLittleEndian(column);
     }
-    if (body.remaining() != 0)
-        return fail(error, "payload longer than sample count");
+    if (sum != checksum)
+        return fail(error, "payload checksum mismatch");
 
     out = std::move(trace);
     if (fingerprint)
@@ -281,38 +221,15 @@ looksLikeTraceBinary(std::istream &is)
 bool
 traceBitIdentical(const SampleTrace &a, const SampleTrace &b)
 {
-    auto same_bits = [](double x, double y) {
-        uint64_t xb, yb;
-        std::memcpy(&xb, &x, sizeof(xb));
-        std::memcpy(&yb, &y, sizeof(yb));
-        return xb == yb;
-    };
-
-    if (a.size() != b.size())
-        return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-        const AlignedSample &sa = a[i];
-        const AlignedSample &sb = b[i];
-        if (!same_bits(sa.time, sb.time) ||
-            !same_bits(sa.interval, sb.interval) ||
-            !same_bits(sa.osInterruptsTotal, sb.osInterruptsTotal) ||
-            !same_bits(sa.osDiskInterrupts, sb.osDiskInterrupts) ||
-            !same_bits(sa.osDeviceInterrupts, sb.osDeviceInterrupts)) {
+    // memcmp compares bit patterns, so NaNs compare by payload.
+    for (size_t k = 0; k < SampleTrace::numColumns; ++k) {
+        const std::vector<double> &x = a.column(k);
+        const std::vector<double> &y = b.column(k);
+        if (x.size() != y.size())
             return false;
-        }
-        for (int r = 0; r < numRails; ++r) {
-            if (!same_bits(sa.measuredWatts[static_cast<size_t>(r)],
-                           sb.measuredWatts[static_cast<size_t>(r)]))
-                return false;
-        }
-        if (sa.perCpu.size() != sb.perCpu.size())
+        if (!x.empty() &&
+            std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) != 0)
             return false;
-        for (size_t c = 0; c < sa.perCpu.size(); ++c)
-            for (int e = 0; e < numPerfEvents; ++e)
-                if (!same_bits(
-                        sa.perCpu[c].counts[static_cast<size_t>(e)],
-                        sb.perCpu[c].counts[static_cast<size_t>(e)]))
-                    return false;
     }
     return true;
 }

@@ -5,7 +5,7 @@
  * The CSV export (SampleTrace::writeCsv) is lossy: it rounds values,
  * sums counters across CPUs and cannot represent NaN payloads. The
  * binary format here is *lossless* - every double is stored as its
- * raw 64-bit pattern, per-CPU counter vectors are kept per CPU - so
+ * raw 64-bit pattern, counters are kept per CPU - so
  * a deserialised trace is bit-identical to the original, including
  * the NaN/Inf samples a fault-injected measurement run produces.
  * That property is what lets the trace cache hand back a stored
@@ -20,23 +20,31 @@
  *     u32    version          traceFormatVersion
  *     u32    perfEventCount   numPerfEvents at write time
  *     u32    railCount        numRails at write time
+ *     u32    cpuCount         CPUs per sample (<= 4096; 0 only with
+ *                             no samples)
  *     u64    fingerprint      caller-supplied key (0 if unused)
  *     u64    sampleCount
- *     u64    payloadBytes
- *     u64    payloadChecksum  XXH64 (checksum64, seed 0) over the
- *                             payload bytes
- *   payload, per sample:
- *     f64    time, interval
- *     f64    osInterruptsTotal, osDiskInterrupts, osDeviceInterrupts
- *     f64    measuredWatts[railCount]
- *     u32    cpuCount
- *     f64    counts[perfEventCount] x cpuCount
+ *     u64    payloadBytes     exactly sampleCount x (10 + cpuCount x
+ *                             perfEventCount) x 8
+ *     u64    payloadChecksum  XXH64 chained over the columns: each
+ *                             column's checksum64 seeds the next,
+ *                             the first with seed 0
+ *   payload, SampleTrace's columns in storage order:
+ *     f64    time[sampleCount], interval[sampleCount]
+ *     f64    osInterruptsTotal[sampleCount], osDiskInterrupts[...],
+ *            osDeviceInterrupts[...]
+ *     f64    measuredWatts[sampleCount], once per rail
+ *     f64    counts[sampleCount x cpuCount], once per event (sample
+ *            major, CPU minor)
  *
- * The event/rail counts in the header double as a layout check: a
- * file written by a build with a different enum layout is rejected
- * rather than misparsed. Every reject path is available either as a
- * fatal() (strict readers like trace_dump) or as a false return with
- * the reason (the cache, which falls back to re-simulation).
+ * The header is 52 bytes. Every size check uses header values alone
+ * and runs before anything is allocated; decode then reads each
+ * column straight into the trace's storage and checksums it there.
+ * The event/rail counts double as a layout check: a file written by a
+ * build with a different enum layout is rejected rather than
+ * misparsed. Every reject path is available either as a fatal()
+ * (strict readers like trace_dump) or as a false return with the
+ * reason (the cache, which falls back to re-simulation).
  */
 
 #ifndef TDP_MEASURE_TRACE_IO_HH
@@ -52,11 +60,11 @@
 namespace tdp {
 
 /**
- * Current binary trace format version. Version 1 checksummed the
- * payload with FNV-1a and is rejected; version 2 uses XXH64 with the
- * same header and payload layout.
+ * Current binary trace format version. Older versions are rejected:
+ * version 1 checksummed a row-wise payload with FNV-1a, version 2 the
+ * same rows with XXH64. Version 3 stores columns.
  */
-constexpr uint32_t traceFormatVersion = 2;
+constexpr uint32_t traceFormatVersion = 3;
 
 /**
  * Write the trace in the binary format described above.
@@ -92,9 +100,9 @@ bool looksLikeTraceBinary(std::istream &is);
 
 /**
  * True when the two traces are indistinguishable at the bit level:
- * same sample count and every field of every sample (including
- * per-CPU counter vectors) has the same 64-bit pattern, so NaNs
- * compare by payload rather than IEEE semantics.
+ * same sample and CPU counts, and every value of every column has the
+ * same 64-bit pattern, so NaNs compare by payload rather than IEEE
+ * semantics.
  */
 bool traceBitIdentical(const SampleTrace &a, const SampleTrace &b);
 

@@ -386,7 +386,7 @@ TEST(Validator, OnePassMatchesPerRailReference)
     SystemPowerEstimator probe = degradedEstimator();
     std::array<std::vector<std::string>, numRails> expected;
     for (const SampleTrace &trace : traces) {
-        for (const AlignedSample &sample : trace.samples()) {
+        for (const AlignedSample &sample : trace.rows()) {
             probe.resetHealth();
             probe.estimate(EventVector::fromSample(sample));
             const HealthReport report = probe.health();
@@ -498,18 +498,23 @@ TEST(ModelTrainer, CleanTraceCountsNonFiniteAndOutliers)
 
     ModelTrainer trainer;
     TrainingReport::RailCleaning counts;
-    const SampleTrace clean =
-        trainer.cleanTrace(trace, Rail::Cpu, counts);
+    SampleTrace scrubbed;
+    const SampleTrace &clean =
+        trainer.cleanTrace(trace, Rail::Cpu, counts, scrubbed);
+    EXPECT_EQ(&clean, &scrubbed);
     EXPECT_EQ(clean.size(), 7u);
     EXPECT_EQ(counts.kept, 7u);
     EXPECT_EQ(counts.discardedNonFinite, 1u);
     EXPECT_EQ(counts.discardedOutlier, 2u);
 
     // The same samples are fine for a rail whose column is clean.
+    // Nothing discarded: the trace itself comes back, uncopied.
     TrainingReport::RailCleaning memory_counts;
-    const SampleTrace memory_clean =
-        trainer.cleanTrace(trace, Rail::Memory, memory_counts);
-    EXPECT_EQ(memory_clean.size(), trace.size());
+    SampleTrace unused;
+    const SampleTrace &memory_clean =
+        trainer.cleanTrace(trace, Rail::Memory, memory_counts, unused);
+    EXPECT_EQ(&memory_clean, &trace);
+    EXPECT_TRUE(unused.empty());
     EXPECT_EQ(memory_counts.discarded(), 0u);
 }
 

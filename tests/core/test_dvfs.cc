@@ -100,7 +100,7 @@ TEST(DvfsAwareCpuModel, TracksSimulatedDvfsEndToEnd)
     fixed.setCoefficients({4.0 * 9.25, 26.45, 4.31});
 
     double err_dvfs = 0.0, err_fixed = 0.0;
-    for (const AlignedSample &s : throttled.samples()) {
+    for (const AlignedSample &s : throttled.rows()) {
         const EventVector ev = EventVector::fromSample(s);
         const double meas = s.measured(Rail::Cpu);
         err_dvfs += std::abs(model.estimate(ev) - meas) / meas;

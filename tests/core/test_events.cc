@@ -72,14 +72,49 @@ TEST(EventVector, NoCpusFatal)
 
 TEST(EventVector, TraceConversion)
 {
+    // A trace's rate table sums each sample's per-CPU rates exactly
+    // as the sample's own event vector does.
     const SampleTrace trace = sweepTrace(5, [](double u, int i) {
         SyntheticPoint pt;
         pt.uopsPerCycle = u;
+        pt.busTxPerCycle = 0.01 + 0.003 * i;
         return makeSyntheticSample(pt, {}, 2, i);
     });
-    const auto vectors = eventVectors(trace);
-    ASSERT_EQ(vectors.size(), 5u);
-    EXPECT_NEAR(vectors[4].cpu[0].uopsPerCycle, 1.0, 1e-12);
+    const TraceRates rates(trace);
+    ASSERT_EQ(rates.size(), 5u);
+    EXPECT_NEAR(rates.total(4, &CpuEventRates::uopsPerCycle), 2.0, 1e-12);
+    for (size_t i = 0; i < trace.size(); ++i) {
+        const EventVector ev = EventVector::fromSample(trace.row(i));
+        for (auto field : {&CpuEventRates::uopsPerCycle,
+                           &CpuEventRates::busTxPerMcycle}) {
+            EXPECT_EQ(rates.total(i, field), ev.total(field));
+            EXPECT_EQ(rates.total(i, field, true),
+                      ev.totalSquared(field));
+        }
+    }
+}
+
+TEST(EventVector, TraceRatesFailAtTheZeroCycleSample)
+{
+    // A zero-cycle sample fails the fit that reads it, with the event
+    // vector's message; the samples before it still read.
+    SampleTrace trace;
+    for (int i = 0; i < 4; ++i) {
+        AlignedSample s = makeSyntheticSample(SyntheticPoint{}, {}, 2, i);
+        if (i == 2)
+            s.perCpu[1][PerfEvent::Cycles] = 0.0;
+        trace.add(s);
+    }
+    const TraceRates rates(trace);
+    EXPECT_GT(rates.total(1, &CpuEventRates::percentActive), 0.0);
+    try {
+        rates.total(2, &CpuEventRates::percentActive);
+        FAIL() << "sample 2 has a CPU with no cycles";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("zero cycles on cpu 1"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 } // namespace

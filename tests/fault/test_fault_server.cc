@@ -33,20 +33,22 @@ tracesIdentical(const SampleTrace &a, const SampleTrace &b)
     if (a.size() != b.size())
         return false;
     for (size_t i = 0; i < a.size(); ++i) {
-        if (a[i].time != b[i].time || a[i].interval != b[i].interval)
+        const AlignedSample sa = a.row(i);
+        const AlignedSample sb = b.row(i);
+        if (sa.time != sb.time || sa.interval != sb.interval)
             return false;
         for (int r = 0; r < numRails; ++r) {
-            if (a[i].measuredWatts[static_cast<size_t>(r)] !=
-                b[i].measuredWatts[static_cast<size_t>(r)])
+            if (sa.measuredWatts[static_cast<size_t>(r)] !=
+                sb.measuredWatts[static_cast<size_t>(r)])
                 return false;
         }
-        if (a[i].perCpu.size() != b[i].perCpu.size())
+        if (sa.perCpu.size() != sb.perCpu.size())
             return false;
-        for (size_t c = 0; c < a[i].perCpu.size(); ++c) {
+        for (size_t c = 0; c < sa.perCpu.size(); ++c) {
             for (int e = 0; e < numPerfEvents; ++e) {
-                const double va = a[i].perCpu[c].counts[
+                const double va = sa.perCpu[c].counts[
                     static_cast<size_t>(e)];
-                const double vb = b[i].perCpu[c].counts[
+                const double vb = sb.perCpu[c].counts[
                     static_cast<size_t>(e)];
                 if (va != vb && !(std::isnan(va) && std::isnan(vb)))
                     return false;
@@ -129,7 +131,7 @@ TEST(FaultServer, CounterWrapRecoveryKeepsRatesSane)
     server.run(15.0);
     const SampleTrace &trace = server.rig().collect();
     ASSERT_GT(trace.size(), 5u);
-    for (const AlignedSample &s : trace.samples()) {
+    for (const AlignedSample &s : trace.rows()) {
         for (const CounterSnapshot &snap : s.perCpu) {
             EXPECT_NEAR(snap[PerfEvent::Cycles] / (2.8e9 * s.interval),
                         1.0, 0.02);
@@ -162,7 +164,7 @@ TEST(FaultServer, MissedPulsesAreResynchronised)
     EXPECT_GT(trace.size(), 30u);
     // Resynchronisation keeps intervals nominal: the stretched
     // window's power is clamped to the reading's own 1 s span.
-    for (const AlignedSample &s : trace.samples())
+    for (const AlignedSample &s : trace.rows())
         EXPECT_NEAR(s.interval, 1.0, 0.01);
 }
 
@@ -198,7 +200,7 @@ TEST(FaultServer, DuplicatePulsesAreMerged)
     EXPECT_EQ(aligner.duplicatePulses(), stats.pulsesDuplicated);
     // Merging the spurious edges keeps one sample per second.
     EXPECT_GT(trace.size(), 55u);
-    for (const AlignedSample &s : trace.samples())
+    for (const AlignedSample &s : trace.rows())
         EXPECT_NEAR(s.interval, 1.0, 0.01);
 }
 
@@ -219,7 +221,7 @@ TEST(FaultServer, GlitchedBlocksAreExcludedFromWindowAverages)
     // the average by < 1 W at these rates, still far from idle +
     // 5 kW). No rail average may be non-finite or absurd.
     EXPECT_GT(aligner.glitchValuesDiscarded(), 0u);
-    for (const AlignedSample &s : trace.samples()) {
+    for (const AlignedSample &s : trace.rows()) {
         for (int r = 0; r < numRails; ++r) {
             const double w = s.measuredWatts[static_cast<size_t>(r)];
             EXPECT_TRUE(std::isfinite(w));

@@ -130,7 +130,7 @@ TEST(FullPipeline, MemoryModelHoldsOnMcfButL3ModelFails)
         runWorkload("mcf", 8, 30.0, 280.0, 0x13);
     std::vector<double> l3_modeled, bus_modeled, measured;
     const SubsystemModel &bus_model = estimator().model(Rail::Memory);
-    for (const AlignedSample &s : mcf_trace.samples()) {
+    for (const AlignedSample &s : mcf_trace.rows()) {
         const EventVector ev = EventVector::fromSample(s);
         l3_modeled.push_back(l3->estimate(ev));
         bus_modeled.push_back(bus_model.estimate(ev));
@@ -151,7 +151,7 @@ TEST(FullPipeline, TotalSystemPowerWithinFivePercent)
         const SampleTrace trace =
             runWorkload(workload, 8, 0.0, 120.0, 0x14, 30.0);
         double measured_total = 0.0, modeled_total = 0.0;
-        for (const AlignedSample &s : trace.samples()) {
+        for (const AlignedSample &s : trace.rows()) {
             for (int r = 0; r < numRails; ++r)
                 measured_total += s.measured(static_cast<Rail>(r));
             modeled_total +=

@@ -18,7 +18,7 @@ double
 railMean(const SampleTrace &trace, Rail rail)
 {
     RunningStats s;
-    for (const AlignedSample &sample : trace.samples())
+    for (const AlignedSample &sample : trace.rows())
         s.add(sample.measured(rail));
     return s.mean();
 }
@@ -37,7 +37,7 @@ TEST(TrickleDown, CacheMissesReachDram)
               railMean(idle_trace, Rail::Memory) + 8.0);
     // Counter chain: misses -> bus transactions.
     double misses = 0.0, bus = 0.0;
-    for (const AlignedSample &s : load_trace.samples()) {
+    for (const AlignedSample &s : load_trace.rows()) {
         misses += s.totalCount(PerfEvent::L3LoadMisses);
         bus += s.totalCount(PerfEvent::BusTransactions);
     }
@@ -61,7 +61,7 @@ TEST(TrickleDown, DiskActivityReachesIoAndDiskRails)
     // Counter chain: disk interrupts and DMA accesses visible at the
     // CPU.
     double disk_irq = 0.0, dma = 0.0;
-    for (const AlignedSample &s : load_trace.samples()) {
+    for (const AlignedSample &s : load_trace.rows()) {
         disk_irq += s.osDiskInterrupts;
         dma += s.totalCount(PerfEvent::DmaOtherAccesses);
     }
@@ -91,7 +91,7 @@ TEST(TrickleDown, HaltedCyclesVanishUnderLoad)
 
     auto halted_fraction = [](const SampleTrace &trace) {
         double halted = 0.0, cycles = 0.0;
-        for (const AlignedSample &s : trace.samples()) {
+        for (const AlignedSample &s : trace.rows()) {
             halted += s.totalCount(PerfEvent::HaltedCycles);
             cycles += s.totalCount(PerfEvent::Cycles);
         }
@@ -110,7 +110,7 @@ TEST(TrickleDown, SyncFlushCreatesCorrelatedBursts)
     const SampleTrace trace =
         server.runAndCollect(60.0).slice(5.0, 61.0);
     RunningCovariance cov;
-    for (const AlignedSample &s : trace.samples())
+    for (const AlignedSample &s : trace.rows())
         cov.add(s.osDiskInterrupts, s.measured(Rail::Io));
     EXPECT_GT(cov.correlation(), 0.9);
 }
@@ -124,7 +124,7 @@ TEST(TrickleDown, UncacheableAccessesFollowDriverActivity)
         loaded.runAndCollect(30.0).slice(10.0, 31.0);
     auto unc_rate = [](const SampleTrace &trace) {
         double unc = 0.0;
-        for (const AlignedSample &s : trace.samples())
+        for (const AlignedSample &s : trace.rows())
             unc += s.totalCount(PerfEvent::UncacheableAccesses);
         return unc / static_cast<double>(trace.size());
     };

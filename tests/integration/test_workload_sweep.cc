@@ -44,7 +44,7 @@ TEST_P(WorkloadSweep, RailsWithinPhysicalBounds)
 {
     const SampleTrace trace = run();
     ASSERT_GT(trace.size(), 20u);
-    for (const AlignedSample &s : trace.samples()) {
+    for (const AlignedSample &s : trace.rows()) {
         // CPU: between deep idle and 4x max package power.
         EXPECT_GT(s.measured(Rail::Cpu), 30.0);
         EXPECT_LT(s.measured(Rail::Cpu), 4.0 * 52.0);
@@ -69,7 +69,7 @@ TEST_P(WorkloadSweep, RailsWithinPhysicalBounds)
 TEST_P(WorkloadSweep, CounterAccountingInvariants)
 {
     const SampleTrace trace = run();
-    for (const AlignedSample &s : trace.samples()) {
+    for (const AlignedSample &s : trace.rows()) {
         for (const CounterSnapshot &snap : s.perCpu) {
             const double cycles = snap[PerfEvent::Cycles];
             EXPECT_GT(cycles, 0.0);
@@ -102,7 +102,7 @@ TEST_P(WorkloadSweep, PowerTracksActivityAcrossSamples)
     const SampleTrace trace = run();
     RunningCovariance cov;
     RunningStats cpu_power;
-    for (const AlignedSample &s : trace.samples()) {
+    for (const AlignedSample &s : trace.rows()) {
         double activity = 0.0;
         for (const CounterSnapshot &snap : s.perCpu) {
             activity += (snap[PerfEvent::Cycles] -
@@ -130,10 +130,10 @@ TEST_P(WorkloadSweep, DeterministicFingerprint)
     ASSERT_EQ(a.size(), b.size());
     EXPECT_DOUBLE_EQ(uops_a, server_total_uops_);
     for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_DOUBLE_EQ(a[i].measured(Rail::Cpu),
-                         b[i].measured(Rail::Cpu));
-        EXPECT_DOUBLE_EQ(a[i].totalCount(PerfEvent::BusTransactions),
-                         b[i].totalCount(PerfEvent::BusTransactions));
+        EXPECT_DOUBLE_EQ(a.row(i).measured(Rail::Cpu),
+                         b.row(i).measured(Rail::Cpu));
+        EXPECT_DOUBLE_EQ(a.row(i).totalCount(PerfEvent::BusTransactions),
+                         b.row(i).totalCount(PerfEvent::BusTransactions));
     }
 }
 

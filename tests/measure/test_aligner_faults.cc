@@ -82,7 +82,7 @@ TEST_F(AlignerFaults, CleanStreamsAlignOneToOne)
 
     EXPECT_EQ(aligner_.alignedCount(), 3u);
     ASSERT_EQ(trace_.size(), 3u);
-    for (const AlignedSample &s : trace_.samples()) {
+    for (const AlignedSample &s : trace_.rows()) {
         for (int r = 0; r < numRails; ++r) {
             EXPECT_DOUBLE_EQ(
                 s.measuredWatts[static_cast<size_t>(r)], 40.0);
@@ -114,11 +114,11 @@ TEST_F(AlignerFaults, MissedPulseOrphansReadingAndResyncsWindow)
     EXPECT_EQ(aligner_.orphanReadings(), 1u);
     EXPECT_EQ(aligner_.resyncedWindows(), 1u);
     ASSERT_EQ(trace_.size(), 2u);
-    EXPECT_DOUBLE_EQ(trace_[0].measuredWatts[0], 20.0);
+    EXPECT_DOUBLE_EQ(trace_.row(0).measuredWatts[0], 20.0);
     // The 10 W span belongs to the lost reading; the clamped window
     // averages only [2, 3).
-    EXPECT_DOUBLE_EQ(trace_[1].measuredWatts[0], 50.0);
-    EXPECT_DOUBLE_EQ(trace_[1].time, 3.0);
+    EXPECT_DOUBLE_EQ(trace_.row(1).measuredWatts[0], 50.0);
+    EXPECT_DOUBLE_EQ(trace_.row(1).time, 3.0);
 }
 
 TEST_F(AlignerFaults, DroppedReadingOrphansItsWindow)
@@ -136,8 +136,8 @@ TEST_F(AlignerFaults, DroppedReadingOrphansItsWindow)
     EXPECT_EQ(aligner_.orphanReadings(), 0u);
     EXPECT_EQ(aligner_.alignedCount(), 2u);
     ASSERT_EQ(trace_.size(), 2u);
-    EXPECT_DOUBLE_EQ(trace_[0].time, 1.0);
-    EXPECT_DOUBLE_EQ(trace_[1].time, 3.0);
+    EXPECT_DOUBLE_EQ(trace_.row(0).time, 1.0);
+    EXPECT_DOUBLE_EQ(trace_.row(1).time, 3.0);
 }
 
 TEST_F(AlignerFaults, DuplicatePulseEdgesAreMerged)
@@ -157,7 +157,7 @@ TEST_F(AlignerFaults, DuplicatePulseEdgesAreMerged)
     EXPECT_EQ(aligner_.duplicatePulses(), 1u);
     EXPECT_EQ(aligner_.alignedCount(), 2u);
     ASSERT_EQ(trace_.size(), 2u);
-    for (const AlignedSample &s : trace_.samples())
+    for (const AlignedSample &s : trace_.rows())
         EXPECT_DOUBLE_EQ(s.measuredWatts[0], 40.0);
 }
 
@@ -183,9 +183,9 @@ TEST_F(AlignerFaults, GlitchedValuesAreExcludedPerRail)
 
     ASSERT_EQ(trace_.size(), 1u);
     // 9 finite blocks of 40 W remain on rail 0.
-    EXPECT_DOUBLE_EQ(trace_[0].measuredWatts[0], 40.0);
-    EXPECT_TRUE(std::isnan(trace_[0].measuredWatts[1]));
-    EXPECT_DOUBLE_EQ(trace_[0].measuredWatts[2], 40.0);
+    EXPECT_DOUBLE_EQ(trace_.row(0).measuredWatts[0], 40.0);
+    EXPECT_TRUE(std::isnan(trace_.row(0).measuredWatts[1]));
+    EXPECT_DOUBLE_EQ(trace_.row(0).measuredWatts[2], 40.0);
     EXPECT_EQ(aligner_.glitchValuesDiscarded(), 11u);
 }
 
@@ -222,7 +222,7 @@ TEST_F(AlignerFaults, TrailingWindowWaitsForItsReading)
     aligner_.drainInto(readings_, trace_);
     EXPECT_EQ(aligner_.alignedCount(), 2u);
     ASSERT_EQ(trace_.size(), 2u);
-    EXPECT_DOUBLE_EQ(trace_[1].time, 2.0);
+    EXPECT_DOUBLE_EQ(trace_.row(1).time, 2.0);
 }
 
 TEST_F(AlignerFaults, ResyncsAfterLeadingOrphanReadingBurst)
@@ -243,9 +243,9 @@ TEST_F(AlignerFaults, ResyncsAfterLeadingOrphanReadingBurst)
     EXPECT_EQ(aligner_.orphanReadings(), 3u);
     EXPECT_EQ(aligner_.alignedCount(), 2u);
     ASSERT_EQ(trace_.size(), 2u);
-    EXPECT_DOUBLE_EQ(trace_[0].time, 5.0);
-    EXPECT_DOUBLE_EQ(trace_[1].time, 6.0);
-    EXPECT_DOUBLE_EQ(trace_[0].measuredWatts[0], 40.0);
+    EXPECT_DOUBLE_EQ(trace_.row(0).time, 5.0);
+    EXPECT_DOUBLE_EQ(trace_.row(1).time, 6.0);
+    EXPECT_DOUBLE_EQ(trace_.row(0).measuredWatts[0], 40.0);
 
     // Once resynced, the next drain is clean: no new orphans.
     addPulse(7.0);
@@ -255,7 +255,7 @@ TEST_F(AlignerFaults, ResyncsAfterLeadingOrphanReadingBurst)
     EXPECT_EQ(aligner_.orphanReadings(), 3u);
     EXPECT_EQ(aligner_.alignedCount(), 3u);
     ASSERT_EQ(trace_.size(), 3u);
-    EXPECT_DOUBLE_EQ(trace_[2].measuredWatts[0], 30.0);
+    EXPECT_DOUBLE_EQ(trace_.row(2).measuredWatts[0], 30.0);
 }
 
 TEST_F(AlignerFaults, ResyncsAfterLeadingOrphanWindowBurst)
@@ -276,12 +276,12 @@ TEST_F(AlignerFaults, ResyncsAfterLeadingOrphanWindowBurst)
     EXPECT_EQ(aligner_.orphanReadings(), 0u);
     EXPECT_EQ(aligner_.alignedCount(), 2u);
     ASSERT_EQ(trace_.size(), 2u);
-    EXPECT_DOUBLE_EQ(trace_[0].time, 4.0);
-    EXPECT_DOUBLE_EQ(trace_[1].time, 5.0);
+    EXPECT_DOUBLE_EQ(trace_.row(0).time, 4.0);
+    EXPECT_DOUBLE_EQ(trace_.row(1).time, 5.0);
     // The orphan windows consumed their own power blocks: the
     // aligned samples only average the spans they cover.
-    EXPECT_DOUBLE_EQ(trace_[0].measuredWatts[0], 40.0);
-    EXPECT_DOUBLE_EQ(trace_[1].measuredWatts[0], 40.0);
+    EXPECT_DOUBLE_EQ(trace_.row(0).measuredWatts[0], 40.0);
+    EXPECT_DOUBLE_EQ(trace_.row(1).measuredWatts[0], 40.0);
 }
 
 TEST_F(AlignerFaults, AccountingAccumulatesAcrossDrains)

@@ -22,7 +22,7 @@ TEST(MeasurementPipeline, ProducesOneSamplePerSecond)
     // Arming read at t~0, then ~1 Hz; expect ~9-10 aligned samples.
     EXPECT_GE(trace.size(), 8u);
     EXPECT_LE(trace.size(), 11u);
-    for (const AlignedSample &s : trace.samples()) {
+    for (const AlignedSample &s : trace.rows()) {
         EXPECT_NEAR(s.interval, 1.0, 0.01);
         EXPECT_EQ(s.perCpu.size(), 4u);
     }
@@ -33,7 +33,7 @@ TEST(MeasurementPipeline, SampleTimesMonotone)
     Server server(2);
     const SampleTrace &trace = server.runAndCollect(8.0);
     for (size_t i = 1; i < trace.size(); ++i)
-        EXPECT_GT(trace[i].time, trace[i - 1].time);
+        EXPECT_GT(trace.row(i).time, trace.row(i - 1).time);
 }
 
 TEST(MeasurementPipeline, JitterIsPresentButSmall)
@@ -41,7 +41,7 @@ TEST(MeasurementPipeline, JitterIsPresentButSmall)
     Server server(3);
     const SampleTrace &trace = server.runAndCollect(30.0);
     bool any_off_nominal = false;
-    for (const AlignedSample &s : trace.samples()) {
+    for (const AlignedSample &s : trace.rows()) {
         if (std::abs(s.interval - 1.0) > 1e-5)
             any_off_nominal = true;
         EXPECT_LT(std::abs(s.interval - 1.0), 2e-3);
@@ -54,7 +54,7 @@ TEST(MeasurementPipeline, CyclesTrackInterval)
     // The paper's normalisation premise: cycles = frequency x time.
     Server server(4);
     const SampleTrace &trace = server.runAndCollect(10.0);
-    for (const AlignedSample &s : trace.samples()) {
+    for (const AlignedSample &s : trace.rows()) {
         for (const CounterSnapshot &snap : s.perCpu) {
             EXPECT_NEAR(snap[PerfEvent::Cycles] / (2.8e9 * s.interval),
                         1.0, 0.01);
@@ -68,7 +68,7 @@ TEST(MeasurementPipeline, MeasuredIdleRailsNearGroundTruth)
     const SampleTrace &trace = server.runAndCollect(20.0);
     ASSERT_FALSE(trace.empty());
     double cpu = 0.0, chipset = 0.0, memory = 0.0, io = 0.0, disk = 0.0;
-    for (const AlignedSample &s : trace.samples()) {
+    for (const AlignedSample &s : trace.rows()) {
         cpu += s.measured(Rail::Cpu);
         chipset += s.measured(Rail::Chipset);
         memory += s.measured(Rail::Memory);
@@ -98,7 +98,7 @@ TEST(MeasurementPipeline, OsInterruptDeltasMatchTimerRate)
 {
     Server server(7);
     const SampleTrace &trace = server.runAndCollect(10.0);
-    for (const AlignedSample &s : trace.samples()) {
+    for (const AlignedSample &s : trace.rows()) {
         // 4 CPUs x 1000 Hz timer plus light NIC chatter.
         EXPECT_NEAR(s.osInterruptsTotal, 4000.0, 150.0);
         EXPECT_DOUBLE_EQ(s.osDiskInterrupts, 0.0);
@@ -111,7 +111,7 @@ TEST(MeasurementPipeline, TraceSliceFilters)
     const SampleTrace &trace = server.runAndCollect(10.0);
     const SampleTrace sliced = trace.slice(3.0, 6.0);
     EXPECT_LT(sliced.size(), trace.size());
-    for (const AlignedSample &s : sliced.samples()) {
+    for (const AlignedSample &s : sliced.rows()) {
         EXPECT_GE(s.time, 3.0);
         EXPECT_LT(s.time, 6.0);
     }
@@ -140,7 +140,7 @@ TEST(MeasurementPipeline, DeterministicAcrossIdenticalRuns)
         server.runner().launchStaggered("gcc", 2, 0.5, 0.0);
         const SampleTrace &trace = server.runAndCollect(6.0);
         double acc = 0.0;
-        for (const AlignedSample &s : trace.samples()) {
+        for (const AlignedSample &s : trace.rows()) {
             acc += s.measured(Rail::Cpu) +
                    s.totalCount(PerfEvent::FetchedUops) * 1e-9;
         }

@@ -45,16 +45,16 @@ TEST(TraceCsv, RoundTripPreservesTotals)
 
     ASSERT_EQ(restored.size(), 2u);
     for (size_t i = 0; i < 2; ++i) {
-        EXPECT_NEAR(restored[i].time, original[i].time, 1e-3);
-        EXPECT_NEAR(restored[i].interval, original[i].interval, 1e-5);
-        EXPECT_NEAR(restored[i].totalCount(PerfEvent::FetchedUops),
-                    original[i].totalCount(PerfEvent::FetchedUops),
+        EXPECT_NEAR(restored.row(i).time, original.row(i).time, 1e-3);
+        EXPECT_NEAR(restored.row(i).interval, original.row(i).interval, 1e-5);
+        EXPECT_NEAR(restored.row(i).totalCount(PerfEvent::FetchedUops),
+                    original.row(i).totalCount(PerfEvent::FetchedUops),
                     1.0);
-        EXPECT_NEAR(restored[i].measured(Rail::Cpu),
-                    original[i].measured(Rail::Cpu), 1e-3);
-        EXPECT_NEAR(restored[i].osDiskInterrupts,
-                    original[i].osDiskInterrupts, 0.1);
-        EXPECT_EQ(restored[i].perCpu.size(), 4u);
+        EXPECT_NEAR(restored.row(i).measured(Rail::Cpu),
+                    original.row(i).measured(Rail::Cpu), 1e-3);
+        EXPECT_NEAR(restored.row(i).osDiskInterrupts,
+                    original.row(i).osDiskInterrupts, 0.1);
+        EXPECT_EQ(restored.row(i).perCpu.size(), 4u);
     }
 }
 
@@ -65,9 +65,9 @@ TEST(TraceCsv, RoundTripWithDifferentCpuCount)
     std::stringstream buffer;
     original.writeCsv(buffer);
     const SampleTrace restored = SampleTrace::readCsv(buffer, 2);
-    ASSERT_EQ(restored[0].perCpu.size(), 2u);
+    ASSERT_EQ(restored.row(0).perCpu.size(), 2u);
     // Totals are preserved regardless of how the counts are spread.
-    EXPECT_NEAR(restored[0].totalCount(PerfEvent::FetchedUops), 2e9,
+    EXPECT_NEAR(restored.row(0).totalCount(PerfEvent::FetchedUops), 2e9,
                 1.0);
 }
 

@@ -1,20 +1,24 @@
 /**
  * @file
  * Binary trace serialisation tests: lossless round trips (including
- * the NaN/Inf samples of fault-injected runs), header validation and
- * corruption detection.
+ * the NaN/Inf samples of fault-injected runs), header validation,
+ * corruption detection and the rejection of older format versions.
  */
 
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "../stream/alloc_hook.hh"
 #include "common/hash.hh"
 #include "measure/trace_io.hh"
 #include "platform/server.hh"
+#include "trace_v2.hh"
 
 namespace tdp {
 namespace {
@@ -28,29 +32,46 @@ fromBits(uint64_t bits)
     return value;
 }
 
-/** A synthetic trace exercising every field and pathological value. */
+/** Bytes of the TDPT v3 header; the payload follows. */
+constexpr size_t headerBytes = 52;
+
+/** Header offsets of the v3 fields the tests patch. */
+constexpr size_t cpuCountOffset = 16;
+constexpr size_t sampleCountOffset = 28;
+constexpr size_t payloadBytesOffset = 36;
+
+/** A clean 4-CPU trace exercising every field. */
 SampleTrace
-pathologicalTrace()
+fourCpuTrace()
 {
     SampleTrace trace;
+    for (int i = 0; i < 2; ++i) {
+        AlignedSample plain;
+        plain.time = 1.0 + 2 * i;
+        plain.interval = 0.998;
+        plain.osInterruptsTotal = 1234.0 + i;
+        plain.osDiskInterrupts = 56.0;
+        plain.osDeviceInterrupts = 78.0;
+        plain.perCpu.resize(4);
+        for (size_t c = 0; c < plain.perCpu.size(); ++c)
+            for (int e = 0; e < numPerfEvents; ++e)
+                plain.perCpu[c].counts[static_cast<size_t>(e)] =
+                    static_cast<double>(1000 * i + c * 100 + e) + 0.25;
+        for (int r = 0; r < numRails; ++r)
+            plain.measuredWatts[static_cast<size_t>(r)] = 10.0 + r + i;
+        trace.add(plain);
+    }
+    return trace;
+}
 
-    AlignedSample plain;
-    plain.time = 1.0;
-    plain.interval = 0.998;
-    plain.osInterruptsTotal = 1234.0;
-    plain.osDiskInterrupts = 56.0;
-    plain.osDeviceInterrupts = 78.0;
-    plain.perCpu.resize(4);
-    for (size_t c = 0; c < plain.perCpu.size(); ++c)
-        for (int e = 0; e < numPerfEvents; ++e)
-            plain.perCpu[c].counts[static_cast<size_t>(e)] =
-                static_cast<double>(c * 100 + e) + 0.25;
-    for (int r = 0; r < numRails; ++r)
-        plain.measuredWatts[static_cast<size_t>(r)] = 10.0 + r;
-    trace.add(plain);
-
-    // A glitched window: NaN/Inf watts, NaN-masked counters with a
-    // distinctive payload, negative zero and a denormal.
+/**
+ * A 2-CPU trace of glitched windows: NaN/Inf watts, NaN-masked
+ * counters with a distinctive payload, negative zero and a denormal.
+ */
+SampleTrace
+glitchedTwoCpuTrace()
+{
+    SampleTrace trace;
     AlignedSample glitched;
     glitched.time = 2.0;
     glitched.interval = 1.002;
@@ -72,15 +93,27 @@ pathologicalTrace()
         std::numeric_limits<double>::quiet_NaN();
     trace.add(glitched);
 
-    // An orphan-adjacent window: zero CPUs recorded (the reading was
-    // lost but the power window survived in some export paths).
-    AlignedSample empty_cpus;
-    empty_cpus.time = 3.0;
-    empty_cpus.interval = 1.0;
-    empty_cpus.measuredWatts[3] = 42.0;
-    trace.add(empty_cpus);
-
+    // A second window: the reading survived but one rail did not.
+    AlignedSample partial;
+    partial.time = 3.0;
+    partial.interval = -0.0;
+    partial.perCpu.resize(2);
+    partial.perCpu[1][PerfEvent::Cycles] =
+        -std::numeric_limits<double>::denorm_min();
+    partial.measuredWatts[3] = 42.0;
+    partial.measuredWatts[4] = fromBits(0xfff0000000000abcull);
+    trace.add(partial);
     return trace;
+}
+
+/**
+ * The pathological traces, one per CPU count. A sample with no CPUs
+ * cannot join a trace, so the zero-CPU case is the empty trace.
+ */
+std::vector<SampleTrace>
+pathologicalTraces()
+{
+    return {fourCpuTrace(), glitchedTwoCpuTrace(), SampleTrace{}};
 }
 
 std::string
@@ -93,21 +126,25 @@ serialize(const SampleTrace &trace, uint64_t fingerprint = 0)
 
 TEST(TraceIo, RoundTripIsBitExact)
 {
-    const SampleTrace trace = pathologicalTrace();
-    std::istringstream is(serialize(trace, 0xfeedface), std::ios::binary);
-
-    SampleTrace loaded;
-    uint64_t fingerprint = 0;
-    std::string error;
-    ASSERT_TRUE(tryReadTraceBinary(is, loaded, &fingerprint, &error))
-        << error;
-    EXPECT_EQ(fingerprint, 0xfeedfaceull);
-    EXPECT_TRUE(traceBitIdentical(trace, loaded));
+    for (const SampleTrace &trace : pathologicalTraces()) {
+        std::istringstream is(serialize(trace, 0xfeedface),
+                              std::ios::binary);
+        SampleTrace loaded;
+        uint64_t fingerprint = 0;
+        std::string error;
+        ASSERT_TRUE(tryReadTraceBinary(is, loaded, &fingerprint, &error))
+            << error;
+        EXPECT_EQ(fingerprint, 0xfeedfaceull);
+        EXPECT_EQ(loaded.cpuCount(), trace.cpuCount());
+        EXPECT_TRUE(traceBitIdentical(trace, loaded));
+    }
 
     // The NaN payload must survive exactly, not as a canonical NaN.
+    std::istringstream is(serialize(glitchedTwoCpuTrace()),
+                          std::ios::binary);
+    const SampleTrace loaded = readTraceBinary(is);
     uint64_t bits = 0;
-    const double uops =
-        loaded[1].perCpu[0][PerfEvent::FetchedUops];
+    const double uops = loaded.count(0, 0, PerfEvent::FetchedUops);
     std::memcpy(&bits, &uops, sizeof(bits));
     EXPECT_EQ(bits, 0x7ff8dead'beef0001ull);
 }
@@ -147,6 +184,7 @@ TEST(TraceIo, BitIdenticalDistinguishesNaNPayloads)
 {
     SampleTrace a;
     AlignedSample s;
+    s.perCpu.resize(1);
     s.measuredWatts[0] = fromBits(0x7ff8000000000001ull);
     a.add(s);
 
@@ -160,40 +198,48 @@ TEST(TraceIo, BitIdenticalDistinguishesNaNPayloads)
 
 TEST(TraceIo, DetectsTruncation)
 {
-    const std::string bytes = serialize(pathologicalTrace());
-    for (const size_t keep :
-         {size_t{0}, size_t{3}, size_t{20}, bytes.size() - 1}) {
-        std::istringstream is(bytes.substr(0, keep), std::ios::binary);
-        SampleTrace loaded;
-        std::string error;
-        EXPECT_FALSE(
-            tryReadTraceBinary(is, loaded, nullptr, &error))
-            << "kept " << keep << " bytes";
-        EXPECT_FALSE(error.empty());
+    for (const SampleTrace &trace : pathologicalTraces()) {
+        const std::string bytes = serialize(trace);
+        for (const size_t keep :
+             {size_t{0}, size_t{3}, size_t{20}, bytes.size() - 1}) {
+            std::istringstream is(bytes.substr(0, keep),
+                                  std::ios::binary);
+            SampleTrace loaded;
+            std::string error;
+            EXPECT_FALSE(
+                tryReadTraceBinary(is, loaded, nullptr, &error))
+                << "kept " << keep << " bytes";
+            EXPECT_FALSE(error.empty());
+        }
     }
 }
 
 TEST(TraceIo, DetectsPayloadCorruption)
 {
-    // Every single-bit flip anywhere in the payload is caught.
-    constexpr size_t header_bytes = 48;
-    const std::string bytes = serialize(pathologicalTrace());
-    ASSERT_GT(bytes.size(), header_bytes);
-    for (size_t bit = 8 * header_bytes; bit < 8 * bytes.size(); ++bit) {
-        std::string corrupt = bytes;
-        corrupt[bit / 8] ^= static_cast<char>(1u << (bit % 8));
-        std::istringstream is(corrupt, std::ios::binary);
-        SampleTrace loaded;
-        std::string error;
-        EXPECT_FALSE(tryReadTraceBinary(is, loaded, nullptr, &error))
-            << "bit " << bit;
-        EXPECT_EQ(error, "payload checksum mismatch") << "bit " << bit;
+    // Every single-bit flip anywhere in a v3 payload is caught.
+    for (const SampleTrace &trace :
+         {fourCpuTrace(), glitchedTwoCpuTrace()}) {
+        const std::string bytes = serialize(trace);
+        ASSERT_GT(bytes.size(), headerBytes);
+        for (size_t bit = 8 * headerBytes; bit < 8 * bytes.size();
+             ++bit) {
+            std::string corrupt = bytes;
+            corrupt[bit / 8] ^= static_cast<char>(1u << (bit % 8));
+            std::istringstream is(corrupt, std::ios::binary);
+            SampleTrace loaded;
+            std::string error;
+            EXPECT_FALSE(
+                tryReadTraceBinary(is, loaded, nullptr, &error))
+                << "bit " << bit;
+            EXPECT_EQ(error, "payload checksum mismatch")
+                << "bit " << bit;
+        }
     }
 }
 
 TEST(TraceIo, DetectsVersionAndMagicMismatch)
 {
-    std::string bytes = serialize(pathologicalTrace());
+    std::string bytes = serialize(glitchedTwoCpuTrace());
 
     std::string wrong_version = bytes;
     wrong_version[4] = char(0x7f); // version field, LSB
@@ -216,87 +262,114 @@ TEST(TraceIo, DetectsVersionAndMagicMismatch)
     }
 }
 
-/** Overwrite the little-endian u64 at a header offset. */
+/** Overwrite the little-endian integer at a header offset. */
+template <typename T>
 void
-patchU64(std::string &bytes, size_t offset, uint64_t value)
+patchLe(std::string &bytes, size_t offset, T value)
 {
-    for (size_t i = 0; i < 8; ++i)
+    for (size_t i = 0; i < sizeof(T); ++i)
         bytes[offset + i] = static_cast<char>((value >> (8 * i)) & 0xff);
+}
+
+/** Decode @p bytes, expecting a reject whose reason contains @p why. */
+void
+expectRejected(const std::string &bytes, const std::string &why)
+{
+    std::istringstream is(bytes, std::ios::binary);
+    SampleTrace loaded;
+    std::string error;
+    bool ok = true;
+    EXPECT_NO_THROW(ok = tryReadTraceBinary(is, loaded, nullptr, &error));
+    EXPECT_FALSE(ok);
+    EXPECT_NE(error.find(why), std::string::npos) << error;
+    EXPECT_TRUE(loaded.empty());
 }
 
 TEST(TraceIo, RejectsSampleCountThatCannotFitPayload)
 {
-    // Header offsets: sampleCount at 24, payloadBytes at 32. The
-    // pathological payload is 404 + 244 + 84 bytes, room for at most
-    // 8 of the smallest (84-byte, no-CPU) samples.
-    const std::string bytes = serialize(pathologicalTrace());
+    // The payload is exactly samples x (10 + 4 x 10) doubles: 800
+    // bytes for the two 4-CPU samples.
+    const std::string bytes = serialize(fourCpuTrace());
     uint64_t payload_bytes = 0;
     for (size_t i = 0; i < 8; ++i)
-        payload_bytes |= static_cast<uint64_t>(
-                             static_cast<unsigned char>(bytes[32 + i]))
-                         << (8 * i);
-    ASSERT_EQ(payload_bytes, 732u);
+        payload_bytes |=
+            static_cast<uint64_t>(static_cast<unsigned char>(
+                bytes[payloadBytesOffset + i]))
+            << (8 * i);
+    ASSERT_EQ(payload_bytes, 800u);
 
-    // The count is checked against the payload before any sample is
-    // reserved: a count this large would make the reservation throw.
+    // The count is checked against the payload length before any
+    // column is allocated: a count this large would make the
+    // allocation throw. Too few samples fail the same exact check.
     for (const uint64_t count :
-         {payload_bytes / 84 + 1, uint64_t{1} << 62, ~uint64_t{0}}) {
+         {uint64_t{3}, uint64_t{1}, uint64_t{1} << 62, ~uint64_t{0}}) {
         std::string corrupt = bytes;
-        patchU64(corrupt, 24, count);
+        patchLe(corrupt, sampleCountOffset, count);
+        SCOPED_TRACE(count);
+        expectRejected(corrupt, "cannot fit");
+    }
+}
+
+TEST(TraceIo, RejectsInflatedHeaderBeforeAllocating)
+{
+    // Every size field is checked on the header alone: no corrupt
+    // header makes the decoder allocate more than the file holds.
+    const std::string bytes = serialize(fourCpuTrace());
+    std::string samples = bytes;
+    patchLe(samples, sampleCountOffset, uint64_t{1} << 40);
+    std::string cpus = bytes;
+    patchLe(cpus, cpuCountOffset, uint32_t{4097});
+    std::string no_cpus = bytes;
+    patchLe(no_cpus, cpuCountOffset, uint32_t{0});
+
+    const std::pair<std::string, const char *> cases[] = {
+        {samples, "cannot fit"},
+        {cpus, "implausible CPU count 4097"},
+        {no_cpus, "samples with no CPUs"},
+    };
+    for (const auto &[corrupt, why] : cases) {
+        SCOPED_TRACE(why);
+        expectRejected(corrupt, why);
+
         std::istringstream is(corrupt, std::ios::binary);
         SampleTrace loaded;
-        std::string error;
-        bool ok = true;
-        EXPECT_NO_THROW(
-            ok = tryReadTraceBinary(is, loaded, nullptr, &error))
-            << "count " << count;
-        EXPECT_FALSE(ok) << "count " << count;
-        EXPECT_NE(error.find("cannot fit"), std::string::npos) << error;
-        EXPECT_TRUE(loaded.empty());
+        testutil::resetLargestAllocation();
+        tryReadTraceBinary(is, loaded);
+        if (testutil::allocationHookActive()) {
+            EXPECT_LT(testutil::largestAllocation(), corrupt.size());
+        }
     }
-
-    // A count that fits the bound but not the actual samples still
-    // fails in the decode loop, as before.
-    std::string short_count = bytes;
-    patchU64(short_count, 24, 4);
-    std::istringstream is(short_count, std::ios::binary);
-    SampleTrace loaded;
-    std::string error;
-    EXPECT_FALSE(tryReadTraceBinary(is, loaded, nullptr, &error));
-    EXPECT_NE(error.find("shorter than sample count"), std::string::npos)
-        << error;
 }
 
 /** Rewrite a current-version file as a version 1 file would be. */
 std::string
 asVersion1(std::string bytes)
 {
-    constexpr size_t header_bytes = 48;
     bytes[4] = 1; // version, little-endian u32
-    patchU64(bytes, 40,
-             fnv1a64(bytes.data() + header_bytes,
-                     bytes.size() - header_bytes));
+    patchLe(bytes, 44,
+            fnv1a64(bytes.data() + headerBytes,
+                    bytes.size() - headerBytes));
     return bytes;
 }
 
 TEST(TraceIo, RejectsVersion1File)
 {
-    // Version 1 had the same layout with an FNV-1a payload checksum.
-    // The version check rejects it first, naming the version.
-    std::istringstream is(asVersion1(serialize(pathologicalTrace(), 42)),
-                          std::ios::binary);
-    SampleTrace loaded;
-    std::string error;
-    EXPECT_FALSE(tryReadTraceBinary(is, loaded, nullptr, &error));
-    EXPECT_NE(error.find("format version 1, expected 2"),
-              std::string::npos)
-        << error;
-    EXPECT_TRUE(loaded.empty());
+    // Version 1 checksummed its payload with FNV-1a. The version
+    // check rejects it first, naming the version.
+    expectRejected(asVersion1(serialize(glitchedTwoCpuTrace(), 42)),
+                   "format version 1, expected 3");
+}
+
+TEST(TraceIo, RejectsVersion2File)
+{
+    // A real version 2 file: row-wise samples behind a 48-byte header.
+    expectRejected(testutil::traceVersion2Bytes(fourCpuTrace(), 42),
+                   "format version 2, expected 3");
 }
 
 TEST(TraceIo, StrictReaderThrowsOnCorruption)
 {
-    std::string bytes = serialize(pathologicalTrace());
+    std::string bytes = serialize(fourCpuTrace());
     bytes.resize(bytes.size() - 1);
     std::istringstream is(bytes, std::ios::binary);
     EXPECT_THROW(readTraceBinary(is), FatalError);
@@ -304,7 +377,7 @@ TEST(TraceIo, StrictReaderThrowsOnCorruption)
 
 TEST(TraceIo, SniffsBinaryVersusCsvWithoutConsuming)
 {
-    std::istringstream bin(serialize(pathologicalTrace()),
+    std::istringstream bin(serialize(fourCpuTrace()),
                            std::ios::binary);
     EXPECT_TRUE(looksLikeTraceBinary(bin));
     // The sniff must leave the stream readable from the start.

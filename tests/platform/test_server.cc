@@ -56,7 +56,7 @@ TEST(Server, TotalIdlePowerMatchesPaperTable1)
     const SampleTrace &trace = server.runAndCollect(30.0);
     ASSERT_GT(trace.size(), 20u);
     double total = 0.0;
-    for (const AlignedSample &s : trace.samples())
+    for (const AlignedSample &s : trace.rows())
         for (int r = 0; r < numRails; ++r)
             total += s.measured(static_cast<Rail>(r));
     total /= static_cast<double>(trace.size());

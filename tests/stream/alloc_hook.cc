@@ -5,7 +5,9 @@
  * Every overload (arrays, sized deallocation, over-aligned types)
  * routes through one atomic counter, so a test can assert that a
  * code path performed exactly zero heap allocations by comparing the
- * counter across the measured section. Sanitizer builds provide
+ * counter across the measured section. The largest single request
+ * is tracked too, so a decoder test can bound what a corrupt length
+ * field makes it allocate. Sanitizer builds provide
  * their own interposed operators; there the hook compiles out and
  * allocationHookActive() returns false.
  */
@@ -33,12 +35,18 @@
 namespace {
 
 std::atomic<uint64_t> allocations{0};
+std::atomic<uint64_t> largest{0};
 
 #if TDP_ALLOC_HOOK
 void *
 countedAlloc(std::size_t size, std::size_t alignment)
 {
     allocations.fetch_add(1, std::memory_order_relaxed);
+    uint64_t seen = largest.load(std::memory_order_relaxed);
+    while (size > seen &&
+           !largest.compare_exchange_weak(seen, size,
+                                          std::memory_order_relaxed)) {
+    }
     if (size == 0)
         size = 1;
     void *ptr = nullptr;
@@ -148,6 +156,18 @@ uint64_t
 allocationCount()
 {
     return allocations.load(std::memory_order_relaxed);
+}
+
+uint64_t
+largestAllocation()
+{
+    return largest.load(std::memory_order_relaxed);
+}
+
+void
+resetLargestAllocation()
+{
+    largest.store(0, std::memory_order_relaxed);
 }
 
 } // namespace testutil

@@ -21,6 +21,12 @@ bool allocationHookActive();
 /** Allocations observed so far (monotonic; compare deltas). */
 uint64_t allocationCount();
 
+/** Largest single allocation (bytes) since the last reset. */
+uint64_t largestAllocation();
+
+/** Restart largestAllocation() from zero. */
+void resetLargestAllocation();
+
 } // namespace testutil
 } // namespace tdp
 

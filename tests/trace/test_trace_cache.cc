@@ -28,6 +28,8 @@
 
 #include "workloads/profile.hh"
 
+#include "../measure/trace_v2.hh"
+#include "../stream/alloc_hook.hh"
 #include "common/bench_util.hh"
 #include "common/hash.hh"
 #include "measure/trace_io.hh"
@@ -301,10 +303,35 @@ TEST_F(TraceCacheTest, RunTracesFallsBackToSimulationOnCorruptEntry)
     bench::setTraceCacheRoot("");
 }
 
-TEST_F(TraceCacheTest, Version1EntryIsRejectedThenResimulated)
+/** Read a whole cache entry. */
+std::string
+readEntry(const fs::path &path)
 {
-    // A version 1 entry (FNV-1a payload checksum) at the entry path is
-    // one rejection and a re-simulation: no crash, no fatal.
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+/** Replace a cache entry's bytes. */
+void
+writeEntry(const fs::path &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    ASSERT_TRUE(out);
+}
+
+/**
+ * Store @p spec's trace, let @p rewrite replace the entry's bytes
+ * with an older format's, and rerun: the old entry must be one
+ * rejection naming @p version and a bit-identical re-simulation,
+ * with no fatal.
+ */
+void
+expectOldEntryResimulated(
+    const std::string &root, const std::string &version,
+    const std::function<std::string(std::string, const SampleTrace &,
+                                    uint64_t)> &rewrite)
+{
     bench::setTraceCacheRoot("");
     RunSpec spec;
     spec.workload = "idle";
@@ -314,40 +341,92 @@ TEST_F(TraceCacheTest, Version1EntryIsRejectedThenResimulated)
     spec.skip = 2.0;
     const SampleTrace fresh = bench::runTraces({spec})[0];
 
-    bench::setTraceCacheRoot(root_.string());
+    bench::setTraceCacheRoot(root);
     ASSERT_NE(bench::traceCache(), nullptr);
     bench::runTraces({spec});
-    const fs::path path =
-        bench::traceCache()->entryPath(runFingerprint(spec));
-    std::string bytes;
-    {
-        std::ifstream in(path, std::ios::binary);
-        ASSERT_TRUE(in);
-        bytes.assign(std::istreambuf_iterator<char>(in), {});
-    }
-    constexpr size_t header_bytes = 48;
-    ASSERT_GT(bytes.size(), header_bytes);
-    bytes[4] = 1; // version, little-endian u32
-    const uint64_t v1_checksum = fnv1a64(bytes.data() + header_bytes,
-                                         bytes.size() - header_bytes);
-    for (size_t i = 0; i < 8; ++i)
-        bytes[40 + i] = static_cast<char>(v1_checksum >> (8 * i));
-    {
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-        ASSERT_TRUE(out);
-    }
+    const uint64_t key = runFingerprint(spec);
+    const fs::path path = bench::traceCache()->entryPath(key);
+    const std::string bytes = readEntry(path);
+    ASSERT_FALSE(bytes.empty());
+    writeEntry(path, rewrite(bytes, fresh, key));
 
     testing::internal::CaptureStderr();
     const SampleTrace recovered = bench::runTraces({spec})[0];
     const std::string log = testing::internal::GetCapturedStderr();
     EXPECT_TRUE(traceBitIdentical(fresh, recovered));
     EXPECT_EQ(bench::traceCache()->stats().rejected, 1u);
-    EXPECT_NE(log.find("format version 1, expected 2"), std::string::npos)
+    EXPECT_NE(log.find("format version " + version + ", expected 3"),
+              std::string::npos)
         << log;
     EXPECT_EQ(log.find("fatal"), std::string::npos) << log;
 
     bench::setTraceCacheRoot("");
+}
+
+TEST_F(TraceCacheTest, Version1EntryIsRejectedThenResimulated)
+{
+    // A version 1 entry (FNV-1a payload checksum) at the entry path is
+    // one rejection and a re-simulation: no crash, no fatal.
+    expectOldEntryResimulated(
+        root_.string(), "1",
+        [](std::string bytes, const SampleTrace &, uint64_t) {
+            constexpr size_t header_bytes = 52;
+            bytes[4] = 1; // version, little-endian u32
+            const uint64_t v1_checksum =
+                fnv1a64(bytes.data() + header_bytes,
+                        bytes.size() - header_bytes);
+            for (size_t i = 0; i < 8; ++i)
+                bytes[44 + i] = static_cast<char>(v1_checksum >> (8 * i));
+            return bytes;
+        });
+}
+
+TEST_F(TraceCacheTest, Version2EntryIsRejectedThenResimulated)
+{
+    // A real version 2 entry (row-wise samples, the layout every cache
+    // entry had before version 3) is one rejection and a
+    // re-simulation.
+    expectOldEntryResimulated(
+        root_.string(), "2",
+        [](std::string, const SampleTrace &trace, uint64_t key) {
+            return testutil::traceVersion2Bytes(trace, key);
+        });
+}
+
+TEST_F(TraceCacheTest, HitAllocationsDoNotDependOnSampleCount)
+{
+    // A hit decodes column by column: a 2,000-sample entry costs the
+    // same number of allocations as a 20-sample one.
+    if (!testutil::allocationHookActive())
+        GTEST_SKIP() << "sanitizer build: operator new is owned by "
+                        "the sanitizer runtime";
+    TraceCache cache(root_.string());
+    auto trace_of = [](size_t samples) {
+        SampleTrace trace;
+        AlignedSample sample;
+        sample.perCpu.resize(4);
+        for (size_t i = 0; i < samples; ++i) {
+            sample.time = static_cast<double>(i);
+            sample.perCpu[i % 4][PerfEvent::Cycles] = 2.8e9 + i;
+            sample.measuredWatts[i % numRails] = 30.0 + i;
+            trace.add(sample);
+        }
+        return trace;
+    };
+    cache.store(20, trace_of(20));
+    cache.store(2000, trace_of(2000));
+
+    auto hit_allocations = [&cache](uint64_t key) {
+        SampleTrace loaded;
+        const uint64_t before = testutil::allocationCount();
+        EXPECT_TRUE(cache.lookup(key, loaded));
+        const uint64_t count = testutil::allocationCount() - before;
+        EXPECT_EQ(loaded.size(), key);
+        return count;
+    };
+    hit_allocations(20); // first-use registrations, if any
+    hit_allocations(2000);
+    EXPECT_EQ(hit_allocations(20), hit_allocations(2000));
 }
 
 TEST_F(TraceCacheTest, CachedTraceBitIdenticalForEveryWorkload)
