@@ -18,6 +18,7 @@
  * removed afterwards.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -25,8 +26,10 @@
 
 #include "common/bench_util.hh"
 #include "common/logging.hh"
+#include "common/strings.hh"
 #include "measure/trace_io.hh"
 #include "trace/trace_cache.hh"
+#include "workloads/profile.hh"
 
 namespace {
 
@@ -56,6 +59,14 @@ main(int argc, char **argv)
     spec.skip = 10.0;
     if (spec.workload == "idle")
         spec.instances = 0;
+
+    // Validate the workload before simulating, so a mistyped flag is
+    // a usage error rather than an uncaught fatal mid-run.
+    const std::vector<std::string> names = workloadProfileNames();
+    if (std::find(names.begin(), names.end(), spec.workload) ==
+        names.end())
+        usageError("unknown workload '" + spec.workload +
+                   "' (valid: " + join(names, ", ") + ")");
 
     // A private cache directory: the benchmark must measure its own
     // store/load, not whatever a previous run left behind.

@@ -27,22 +27,11 @@
  *                guard must engage the fallback chain, the windowed
  *                refit must adapt, and the rail must be re-promoted.
  *
- * A sixth entry, checkpoint-kill, is not part of the workload grid:
- * it is the crash-safety proof for the checkpoint subsystem
- * (src/stream/checkpoint.hh). A re-exec'd child runs one workload
- * with periodic checkpointing and SIGKILLs itself at a seed-hashed
- * tick; the parent restores the newest on-disk generation into a
- * fresh service, fast-forwards a fresh fleet over the rounds the
- * checkpoint already covers, re-offers everything after the
- * checkpoint tick and fatal-asserts that the digest and every
- * cumulative counter are bitwise identical to an uninterrupted
- * reference run - at --jobs 1 and --jobs N. Torn-write and
- * ENOSPC/EXDEV injection on the checkpoint path ride along: a torn
- * newest generation must fall back to the previous one (with a
- * warning, never a fatal), a failed write must leave the service
- * running on the prior generation. Reported as the exact-gated
- * restore_digest_matches / restore_fallbacks /
- * checkpoint_io_failures metrics.
+ * What each phase must exercise is pinned twice: exactly, by the
+ * summed counters gated in BENCH_bm_stream.json, and per mechanism
+ * by tests/stream (ShardedIngest.*, StreamService.*). Checkpoint
+ * restore is proven by tests/stream/test_checkpoint.cc and perfbench
+ * stream-hostile, not here.
  *
  * The drift-phase service of the last workload contributes the
  * stream.* manifest sections (ingest, session, SLO, per-rail model
@@ -70,20 +59,10 @@
  *   --rounds N        rounds per phase          [TDP_STREAM_ROUNDS]
  *   --window N        refit window blocks       [TDP_STREAM_WINDOW]
  *   --seed V          admission/shed hash seed  [TDP_STREAM_SEED]
- *   --checkpoint BASE   checkpoint every grid-phase service into the
- *                       two-generation rotation at BASE; a SIGTERM
- *                       drain writes one final generation before
- *                       exiting 113       [TDP_STREAM_CHECKPOINT]
- *   --checkpoint-every N  checkpoint cadence in ticks (default 8)
- *                                   [TDP_STREAM_CHECKPOINT_EVERY]
- *   --restore BASE      restore BASE into a fresh service, replay
- *                       the input tail its meta section identifies
- *                       and verify against a freshly computed
- *                       uninterrupted reference run, then exit
  *
- * --clients is capped at 4096: the sweep is a correctness harness
- * that replays every phase twice (serial + parallel reference), so
- * fleet-scale runs belong in bench/stream_scale. --clients also
+ * --clients is capped at 4096, the fleet perfbench stream-hostile
+ * serves: the sweep is a correctness harness that replays every
+ * phase twice (serial + parallel reference). --clients also
  * interacts with --window: refit blocks seal every refitBlockRows
  * *accepted* samples, so a small fleet fills a wide window slowly
  * and early refits run on a partial window (fewer sealed blocks than
@@ -92,45 +71,74 @@
  */
 
 #include <algorithm>
-#include <cerrno>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include "common/atomic_file.hh"
 #include "common/bench_util.hh"
 #include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/strings.hh"
 #include "resilience/retry.hh"
-#include "resilience/shutdown.hh"
-#include "stream/checkpoint.hh"
 #include "stream/service.hh"
 #include "stream/synthetic.hh"
-
-extern char **environ;
 
 namespace {
 
 using namespace tdp;
 using namespace tdp::bench;
-using stream::Admission;
-using stream::DriftState;
 using stream::RailStatus;
-using stream::RestoreResult;
-using stream::StreamCheckpointer;
 using stream::StreamConfig;
 using stream::StreamSample;
 using stream::StreamService;
+
+/**
+ * Exit code of a drained, flushed abort. Distinct from 0 (success),
+ * 1 (fatal error) and 128+signum (unhandled signal), so callers can
+ * tell "aborted cleanly" from both.
+ */
+constexpr int cleanAbortExitCode = 113;
+
+/**
+ * Raised by the signal handlers, polled between ticks. The handlers
+ * are async-signal-safe: a relaxed store to a lock-free atomic is all
+ * they do. @{
+ */
+std::atomic<bool> shutdownRequested{false}; ///< SIGINT / SIGTERM
+std::atomic<bool> dumpRequested{false};     ///< SIGUSR2
+/** @} */
+
+extern "C" void
+onShutdownSignal(int)
+{
+    shutdownRequested.store(true, std::memory_order_relaxed);
+}
+
+extern "C" void
+onDumpSignal(int)
+{
+    dumpRequested.store(true, std::memory_order_relaxed);
+}
+
+/** Route SIGINT/SIGTERM to a drain and SIGUSR2 to a mid-run dump. */
+void
+installSignalHandlers()
+{
+    struct sigaction action = {};
+    sigemptyset(&action.sa_mask);
+    action.sa_flags = 0; // no SA_RESTART: interrupt blocking reads
+    action.sa_handler = onShutdownSignal;
+    sigaction(SIGINT, &action, nullptr);
+    sigaction(SIGTERM, &action, nullptr);
+    action.sa_handler = onDumpSignal;
+    sigaction(SIGUSR2, &action, nullptr);
+}
 
 /** One workload: a deterministic load shape u(round, client). */
 struct Workload
@@ -150,19 +158,14 @@ const std::vector<Workload> suite = {
     {"mesa", 0.40, 0.35, 14},    {"mgrid", 0.55, 0.40, 8},
     {"wupwise", 0.60, 0.30, 16}, {"diskload", 0.30, 0.25, 6}};
 
-/**
- * The five grid phases plus the out-of-grid crash-safety proof; the
- * workload x phase loop skips checkpoint-kill, which runs once after
- * the repetition loop instead.
- */
+/** The five grid phases, in run order. */
 const std::vector<std::string> allPhases = {
-    "steady", "overload", "stall", "poison", "drift",
-    "checkpoint-kill"};
+    "steady", "overload", "stall", "poison", "drift"};
 
 /**
  * Correctness-sweep fleet ceiling: each phase runs twice per
  * workload, so the sweep scales as 2 x 12 x 5 x clients x rounds.
- * Fleet-scale throughput runs belong in bench/stream_scale.
+ * 4096 is the fleet perfbench stream-hostile measures.
  */
 constexpr int maxSweepClients = 4096;
 
@@ -173,44 +176,6 @@ struct SweepOptions
     int windowBlocks = 4;
     uint64_t seed = 0x5eedc4a7;
     std::vector<std::string> phases = allPhases;
-
-    /** --checkpoint rotation base ("" disables). */
-    std::string checkpointBase;
-
-    /** --checkpoint-every cadence in ticks. */
-    int checkpointEvery = 8;
-
-    /** --restore base ("" for a normal sweep). */
-    std::string restoreBase;
-};
-
-/**
- * Checkpointing plan of one phase run: rotation base and cadence,
- * plus the optional chaos the harness injects - a self-SIGKILL after
- * one tick's bookkeeping, and at most one IoFault per write tick on
- * the checkpoint path.
- */
-struct CheckpointPlan
-{
-    std::string base;
-    uint64_t everyTicks = 8;
-
-    /** Self-SIGKILL right after this tick's checkpoint (-1: never). */
-    int64_t killAtTick = -1;
-
-    /** Inject one IoFault into the write at this tick (-1: never). @{ */
-    int64_t tornAtTick = -1;
-    int64_t enospcAtTick = -1;
-    int64_t exdevAtTick = -1;
-    /** @} */
-};
-
-/** What a checkpointed phase run left behind. */
-struct CheckpointOutcome
-{
-    uint64_t written = 0;
-    uint64_t failures = 0;
-    uint64_t generation = 0;
 };
 
 /** Load of one client at one round: triangular wave per workload. */
@@ -239,16 +204,6 @@ loadOf(const Workload &w, int round, int client)
  */
 const StreamService *liveService = nullptr;
 
-/**
- * The live phase's checkpointer, when checkpointing is on: the
- * SIGTERM drain writes one final generation through it before the
- * clean-abort exit, so a drained run restores with zero loss.
- */
-StreamCheckpointer *liveCheckpointer = nullptr;
-
-/** argv[0], for re-exec'ing the checkpoint-kill child. */
-const char *selfPath = nullptr;
-
 /** One `.quarantine` dump per process: first quarantine wins. */
 bool quarantineDumped = false;
 
@@ -260,39 +215,31 @@ timelineActive()
 }
 
 /**
- * Poll the async-signal flags between ticks (the handlers only set
- * relaxed atomics, PR-5 style). SIGUSR2 dumps the live telemetry to
- * a side file and continues; SIGTERM flushes whatever the live
- * service has seen so far - partial stream.* manifest sections and
- * the timeline - then exits with the clean-abort code so postmortems
- * of drained runs are never empty.
+ * Poll the async-signal flags between ticks. SIGUSR2 dumps the live
+ * telemetry to a side file and continues; SIGTERM flushes whatever
+ * the live service has seen so far - partial stream.* manifest
+ * sections and the timeline - then exits with the clean-abort code
+ * so postmortems of drained runs are never empty.
  */
 void
 pollSignals(const StreamService &service)
 {
-    if (resilience::dumpRequested()) {
+    if (dumpRequested.load(std::memory_order_relaxed)) {
         if (timelineActive())
             service.writeTimeline(timelineOutPath() + ".sigusr2",
                                   "bm_stream", "sigusr2");
-        resilience::clearDumpRequest();
+        dumpRequested.store(false, std::memory_order_relaxed);
     }
-    if (!resilience::shutdownRequested())
+    if (!shutdownRequested.load(std::memory_order_relaxed))
         return;
-    // A SIGTERM drain is exactly the interruption the checkpoints
-    // exist for: write one final generation so a later restore
-    // resumes from this very tick with zero input loss.
-    if (liveCheckpointer != nullptr)
-        liveCheckpointer->writeNow();
     if (observabilityEnabled()) {
         service.addManifestSections(runManifest());
-        if (liveCheckpointer != nullptr)
-            liveCheckpointer->addManifestSections(runManifest());
         if (timelineActive())
             service.writeTimeline(timelineOutPath(), "bm_stream",
                                   "sigterm");
         flushObservability();
     }
-    std::exit(resilience::cleanAbortExitCode);
+    std::exit(cleanAbortExitCode);
 }
 
 /**
@@ -384,18 +331,14 @@ chaosHit(uint64_t seed, uint64_t client, uint64_t round,
 }
 
 /**
- * Generate every sample of one round and hand it to @p offer,
- * exactly as the live run offers them. The restore path shares this
- * generator - both for fast-forwarding a fresh fleet over the rounds
- * a checkpoint already covers (offering into a discard sink) and for
- * re-offering the tail - so the replayed input cannot drift from the
- * original by construction. Returns the number of samples offered.
+ * Generate every sample of one round and offer it to @p service.
+ * Returns the number of samples offered.
  */
-template <typename Offer>
 uint64_t
 offerRound(const SweepOptions &opt, size_t workload,
            const std::string &phase, const StreamConfig &cfg,
-           stream::synthetic::Fleet &fleet, int round, Offer &&offer)
+           stream::synthetic::Fleet &fleet, int round,
+           StreamService &service)
 {
     const Workload &w = suite[workload];
     const int half = opt.rounds / 2;
@@ -424,53 +367,16 @@ offerRound(const SweepOptions &opt, size_t workload,
             }
         }
         ++offered;
-        offer(sample);
+        service.offer(sample);
         if (phase == "overload") {
             // Burst: four extra offers per client per round.
             for (int burst = 0; burst < 4; ++burst) {
                 ++offered;
-                offer(fleet.next(c, u));
+                service.offer(fleet.next(c, u));
             }
         }
     }
     return offered;
-}
-
-/**
- * Run identity stored in every checkpoint's meta section, so
- * --restore can rebuild the matching config and input tail from the
- * file alone: "<workload> <phase> <clients> <rounds> <window>
- * <seed-hex>".
- */
-std::string
-checkpointMetaFor(const SweepOptions &opt, size_t workload,
-                  const std::string &phase)
-{
-    char buf[160];
-    std::snprintf(buf, sizeof buf, "%zu %s %d %d %d %llx", workload,
-                  phase.c_str(), opt.clients, opt.rounds,
-                  opt.windowBlocks,
-                  static_cast<unsigned long long>(opt.seed));
-    return buf;
-}
-
-bool
-parseCheckpointMeta(const std::string &meta, SweepOptions &opt,
-                    size_t &workload, std::string &phase)
-{
-    char name[64] = {0};
-    unsigned long long wl = 0;
-    unsigned long long seed = 0;
-    if (std::sscanf(meta.c_str(), "%llu %63s %d %d %d %llx", &wl,
-                    name, &opt.clients, &opt.rounds,
-                    &opt.windowBlocks, &seed) != 6)
-        return false;
-    if (wl >= suite.size())
-        return false;
-    workload = static_cast<size_t>(wl);
-    phase = name;
-    opt.seed = seed;
-    return true;
 }
 
 /** Fill the service-derived fields of a PhaseResult. */
@@ -501,9 +407,7 @@ capturePhaseTotals(const StreamService &service, PhaseResult &result)
 
 PhaseResult
 runPhase(const SweepOptions &opt, size_t workload,
-         const std::string &phase, int jobs,
-         const CheckpointPlan *plan = nullptr,
-         CheckpointOutcome *outcome = nullptr)
+         const std::string &phase, int jobs)
 {
     StreamConfig cfg = phaseConfig(opt, workload, phase);
     StreamService service(cfg, stream::synthetic::trainedEstimator());
@@ -511,42 +415,10 @@ runPhase(const SweepOptions &opt, size_t workload,
     stream::synthetic::Fleet fleet(opt.clients, 40);
     liveService = &service;
 
-    std::unique_ptr<StreamCheckpointer> checkpointer;
-    bool faultHookInstalled = false;
-    if (plan != nullptr) {
-        checkpointer = std::make_unique<StreamCheckpointer>(
-            service, plan->base, plan->everyTicks);
-        checkpointer->setMeta(
-            checkpointMetaFor(opt, workload, phase));
-        liveCheckpointer = checkpointer.get();
-        if (plan->tornAtTick >= 0 || plan->enospcAtTick >= 0 ||
-            plan->exdevAtTick >= 0) {
-            // Per-tick fault injection, keyed by destination path so
-            // unrelated publishes (manifest, timeline) stay clean.
-            const std::string base = plan->base;
-            const StreamService *svc = &service;
-            setIoFaultHook([svc, plan,
-                            base](const std::string &path) {
-                if (path.compare(0, base.size(), base) != 0)
-                    return IoFault::None;
-                const int64_t t = static_cast<int64_t>(svc->now());
-                if (t == plan->tornAtTick)
-                    return IoFault::TornWrite;
-                if (t == plan->enospcAtTick)
-                    return IoFault::Enospc;
-                if (t == plan->exdevAtTick)
-                    return IoFault::Exdev;
-                return IoFault::None;
-            });
-            faultHookInstalled = true;
-        }
-    }
-
-    // Between-tick bookkeeping: answer SIGUSR2/SIGTERM promptly,
+    // Between-tick bookkeeping: answer SIGUSR2/SIGTERM promptly, and
     // snapshot the flight recorder the first time a client lands in
     // quarantine (the `.quarantine` side file survives the exit
-    // overwrite of the main dump), checkpoint at cadence boundaries
-    // and inject the planned crash.
+    // overwrite of the main dump).
     const auto afterTick = [&] {
         pollSignals(service);
         if (timelineActive() && !quarantineDumped &&
@@ -555,22 +427,12 @@ runPhase(const SweepOptions &opt, size_t workload,
             service.writeTimeline(timelineOutPath() + ".quarantine",
                                   "bm_stream", "quarantine");
         }
-        if (checkpointer != nullptr) {
-            checkpointer->onTick();
-            if (plan->killAtTick >= 0 &&
-                service.now() ==
-                    static_cast<uint64_t>(plan->killAtTick))
-                ::kill(::getpid(), SIGKILL);
-        }
     };
 
     PhaseResult result;
     for (int round = 0; round < opt.rounds; ++round) {
-        result.offered +=
-            offerRound(opt, workload, phase, cfg, fleet, round,
-                       [&](const StreamSample &sample) {
-                           service.offer(sample);
-                       });
+        result.offered += offerRound(opt, workload, phase, cfg, fleet,
+                                     round, service);
         service.tick(pool);
         afterTick();
     }
@@ -586,88 +448,13 @@ runPhase(const SweepOptions &opt, size_t workload,
     // manifest sections CI validates (drift engagement + recovery
     // visible in stream.rails).
     if (observabilityEnabled() && phase == "drift" &&
-        workload + 1 == suite.size() && jobs > 1) {
+        workload + 1 == suite.size() && jobs > 1)
         service.addManifestSections(runManifest());
-        if (checkpointer != nullptr)
-            checkpointer->addManifestSections(runManifest());
-    }
     // Every parallel run refreshes the exit dump; the last completed
     // phase wins, so the file always holds a full, current snapshot.
     if (timelineActive() && jobs > 1)
         service.writeTimeline(timelineOutPath(), "bm_stream", "exit");
-    if (faultHookInstalled)
-        setIoFaultHook({});
-    if (outcome != nullptr && checkpointer != nullptr) {
-        outcome->written = checkpointer->written();
-        outcome->failures = checkpointer->failures();
-        outcome->generation = checkpointer->generation();
-    }
-    liveCheckpointer = nullptr;
     liveService = nullptr;
-    return result;
-}
-
-/**
- * Restore the newest usable generation of @p base into a fresh
- * service and replay the input tail: fast-forward a fresh fleet
- * through the rounds the checkpoint already folded (the generator is
- * deterministic, so discarding that prefix leaves the fleet in
- * exactly its pre-crash state), then re-offer everything after the
- * checkpoint tick and run the drain. Bounded loss: nothing before
- * the checkpoint is needed, nothing after it is lost.
- */
-PhaseResult
-replayFromCheckpoint(const SweepOptions &opt, size_t workload,
-                     const std::string &phase, int jobs,
-                     const std::string &base,
-                     RestoreResult *restoredOut = nullptr)
-{
-    StreamConfig cfg = phaseConfig(opt, workload, phase);
-    StreamService service(cfg, stream::synthetic::trainedEstimator());
-    const RestoreResult restored =
-        stream::restoreStreamCheckpoint(service, base);
-    if (restoredOut != nullptr)
-        *restoredOut = restored;
-    if (!restored.ok)
-        fatal("stream_sweep: restore from %s failed: %s",
-              base.c_str(), restored.error.c_str());
-
-    const ExperimentPool pool(jobs);
-    stream::synthetic::Fleet fleet(opt.clients, 40);
-    const uint64_t startTick = restored.info.tick;
-    const uint64_t totalTicks =
-        static_cast<uint64_t>(opt.rounds) + 64;
-    if (startTick > totalTicks)
-        fatal("stream_sweep: checkpoint tick %llu is past the end of "
-              "a %llu-tick run - wrong meta or options",
-              static_cast<unsigned long long>(startTick),
-              static_cast<unsigned long long>(totalTicks));
-
-    const int resumeRound = static_cast<int>(std::min<uint64_t>(
-        startTick, static_cast<uint64_t>(opt.rounds)));
-    for (int round = 0; round < resumeRound; ++round)
-        offerRound(opt, workload, phase, cfg, fleet, round,
-                   [](const StreamSample &) {});
-
-    PhaseResult result;
-    for (int round = resumeRound; round < opt.rounds; ++round) {
-        offerRound(opt, workload, phase, cfg, fleet, round,
-                   [&](const StreamSample &sample) {
-                       service.offer(sample);
-                   });
-        service.tick(pool);
-    }
-    for (uint64_t t = std::max(startTick,
-                               static_cast<uint64_t>(opt.rounds));
-         t < totalTicks; ++t)
-        service.tick(pool);
-
-    capturePhaseTotals(service, result);
-    // The uninterrupted run counts offers harness-side; recover the
-    // same total from the restored counters (offers refused at the
-    // door never reach ingest).
-    result.offered = service.ingestStats().offered +
-                     service.stats().quarantinedAtDoor;
     return result;
 }
 
@@ -686,36 +473,6 @@ assertSamePhase(const PhaseResult &serial, const PhaseResult &wide,
         fatal("stream_sweep: %s/%s counters diverged between worker "
               "counts",
               workload, phase.c_str());
-}
-
-/** Per-phase invariants: each phase must exercise what it claims. */
-void
-assertPhaseInteresting(const PhaseResult &r, const char *workload,
-                       const std::string &phase)
-{
-    if (r.accepted == 0)
-        fatal("stream_sweep: %s/%s accepted nothing", workload,
-              phase.c_str());
-    if (phase == "steady" &&
-        (r.refits == 0 || r.verifiedRefits == 0))
-        fatal("stream_sweep: %s/steady saw no verified refits",
-              workload);
-    if (phase == "overload" && (r.shed == 0 || r.overflow == 0))
-        fatal("stream_sweep: %s/overload shed %llu, overflowed %llu "
-              "- the overload phase proved nothing",
-              workload, static_cast<unsigned long long>(r.shed),
-              static_cast<unsigned long long>(r.overflow));
-    if (phase == "stall" && r.evicted == 0)
-        fatal("stream_sweep: %s/stall evicted nobody", workload);
-    if (phase == "poison" && r.quarantines == 0)
-        fatal("stream_sweep: %s/poison quarantined nobody", workload);
-    if (phase == "drift" &&
-        (r.driftEngaged == 0 || r.driftRecovered == 0))
-        fatal("stream_sweep: %s/drift engaged %llu, recovered %llu "
-              "- fallback/recovery not demonstrated",
-              workload,
-              static_cast<unsigned long long>(r.driftEngaged),
-              static_cast<unsigned long long>(r.driftRecovered));
 }
 
 /**
@@ -803,9 +560,6 @@ parseOptions(const std::vector<std::string> &args)
     envCount("TDP_STREAM_WINDOW", opt.windowBlocks);
     if (const char *env = std::getenv("TDP_STREAM_SEED"))
         opt.seed = std::strtoull(env, nullptr, 0);
-    if (const char *env = std::getenv("TDP_STREAM_CHECKPOINT"))
-        opt.checkpointBase = env;
-    envCount("TDP_STREAM_CHECKPOINT_EVERY", opt.checkpointEvery);
 
     for (size_t i = 0; i < args.size(); ++i) {
         // Every option is spelt `--flag VALUE` or `--flag=VALUE`.
@@ -831,16 +585,6 @@ parseOptions(const std::vector<std::string> &args)
             opt.windowBlocks = count("--window");
         } else if (is("--seed")) {
             opt.seed = std::strtoull(value("--seed").c_str(), nullptr, 0);
-        } else if (is("--checkpoint-every")) {
-            opt.checkpointEvery = count("--checkpoint-every");
-        } else if (is("--checkpoint")) {
-            opt.checkpointBase = value("--checkpoint");
-            if (opt.checkpointBase.empty())
-                usageError("--checkpoint needs a non-empty base path");
-        } else if (is("--restore")) {
-            opt.restoreBase = value("--restore");
-            if (opt.restoreBase.empty())
-                usageError("--restore needs a non-empty base path");
         } else if (is("--stream")) {
             opt.phases.clear();
             for (const std::string &phase : split(value("--stream"), ',')) {
@@ -864,376 +608,26 @@ parseOptions(const std::vector<std::string> &args)
             "--clients %d exceeds the %d ceiling. "
             "This sweep replays every workload/phase pair twice "
             "(serial + parallel reference) with refit "
-            "verification on, so large fleets multiply into hours "
-            "- for fleet-scale ingest measurements use "
-            "bench/stream_scale, which drives millions of "
-            "clients through the same service once per "
-            "repetition",
-            opt.clients, maxSweepClients));
+            "verification on, so large fleets multiply into hours; "
+            "%d is the fleet perfbench stream-hostile serves",
+            opt.clients, maxSweepClients, maxSweepClients));
     if (opt.rounds < 8)
         usageError("need at least 8 rounds");
     return opt;
 }
 
-/** Compare an uninterrupted reference with a restored replay. */
-void
-assertReplayMatches(PhaseResult reference, PhaseResult replay,
-                    const char *what, const std::string &phase)
-{
-    // The telemetry timeline ring dies with the crashed process by
-    // design - only estimation state is checkpointed - so its digest
-    // is excluded from the crash-equality contract.
-    reference.timelineDigest = 0;
-    replay.timelineDigest = 0;
-    if (reference.digest != replay.digest)
-        fatal("stream_sweep: %s/%s restore+replay digest %016llx != "
-              "uninterrupted %016llx - the bounded-loss contract is "
-              "broken",
-              what, phase.c_str(),
-              static_cast<unsigned long long>(replay.digest),
-              static_cast<unsigned long long>(reference.digest));
-    if (std::memcmp(&reference, &replay, sizeof reference) != 0)
-        fatal("stream_sweep: %s/%s restore+replay counters diverged "
-              "from the uninterrupted run",
-              what, phase.c_str());
-}
-
-/**
- * Environment for the re-exec'd kill child: the parent's, minus the
- * observability outputs (the child would race the parent's dumps)
- * and the stream checkpoint envs (the child gets explicit flags).
- */
-std::vector<std::string>
-childEnvStrings()
-{
-    static const char *const dropped[] = {
-        "TDP_TIMELINE_OUT=",      "TDP_MANIFEST_OUT=",
-        "TDP_TRACE_OUT=",         "TDP_PROM_OUT=",
-        "TDP_BENCH_JSON_DIR=",
-        "TDP_STREAM_CHECKPOINT="}; // also matches _EVERY
-    std::vector<std::string> env;
-    for (char **e = environ; *e != nullptr; ++e) {
-        bool drop = false;
-        for (const char *prefix : dropped)
-            drop = drop || std::strncmp(*e, prefix,
-                                        std::strlen(prefix)) == 0;
-        if (!drop)
-            env.emplace_back(*e);
-    }
-    return env;
-}
-
-/**
- * Fork + exec a child that re-runs this binary in the hidden
- * --kill-child mode: one checkpointed phase, self-SIGKILL at the
- * planned tick. Exec-after-fork keeps the harness sane under the
- * thread sanitizer, which cannot follow a multithreaded parent into
- * a fork that keeps running instrumented code. The parent blocks
- * until the child dies and fatal()s unless it died by SIGKILL.
- */
-void
-spawnKillChild(const SweepOptions &opt, size_t workload,
-               const std::string &phase, int jobsCount,
-               const CheckpointPlan &plan)
-{
-    std::vector<std::string> args = {
-        selfPath,
-        "--kill-child",
-        std::to_string(workload),
-        phase,
-        std::to_string(jobsCount),
-        std::to_string(plan.everyTicks),
-        std::to_string(plan.killAtTick),
-        plan.base,
-        "--clients=" + std::to_string(opt.clients),
-        "--rounds=" + std::to_string(opt.rounds),
-        "--window=" + std::to_string(opt.windowBlocks),
-        "--seed=" + std::to_string(opt.seed)};
-    std::vector<std::string> env = childEnvStrings();
-    std::vector<char *> argv, envp;
-    for (std::string &a : args)
-        argv.push_back(a.data());
-    argv.push_back(nullptr);
-    for (std::string &e : env)
-        envp.push_back(e.data());
-    envp.push_back(nullptr);
-
-    const pid_t pid = ::fork();
-    if (pid < 0)
-        fatal("stream_sweep: fork failed: %s", std::strerror(errno));
-    if (pid == 0) {
-        ::execve(argv[0], argv.data(), envp.data());
-        ::_exit(127);
-    }
-    int status = 0;
-    if (::waitpid(pid, &status, 0) != pid)
-        fatal("stream_sweep: waitpid failed: %s",
-              std::strerror(errno));
-    if (!WIFSIGNALED(status) || WTERMSIG(status) != SIGKILL)
-        fatal("stream_sweep: checkpoint-kill child for %s/%s did not "
-              "die by SIGKILL (status 0x%x) - the crash was not "
-              "injected",
-              suite[workload].name, phase.c_str(), status);
-}
-
-/** What the checkpoint-kill phase proved, for the exact metrics. */
-struct KillHarnessTotals
-{
-    uint64_t digestMatches = 0;
-    uint64_t fallbacks = 0;
-    uint64_t ioFailures = 0;
-};
-
-/**
- * The checkpoint-kill phase: SIGKILL a checkpointing child mid-run,
- * restore the newest on-disk generation, replay the tail and demand
- * bitwise equality with an uninterrupted run - per phase shape and
- * worker count - then the torn-write and ENOSPC/EXDEV injections.
- */
-KillHarnessTotals
-runCheckpointKill(const SweepOptions &opt, int wide)
-{
-    KillHarnessTotals totals;
-    char dirTemplate[] = "/tmp/tdp-stream-ckpt-XXXXXX";
-    if (::mkdtemp(dirTemplate) == nullptr)
-        fatal("stream_sweep: mkdtemp failed: %s",
-              std::strerror(errno));
-    const std::string dir = dirTemplate;
-    const size_t workload = 1; // gcc: busy, but not pathological
-    const uint64_t totalTicks =
-        static_cast<uint64_t>(opt.rounds) + 64;
-    const uint64_t every = 8;
-
-    const auto removeGenerations = [](const std::string &base) {
-        std::remove(
-            stream::checkpointGenerationPath(base, 0).c_str());
-        std::remove(
-            stream::checkpointGenerationPath(base, 1).c_str());
-    };
-
-    std::printf("\ncheckpoint-kill: SIGKILL mid-run, restore newest "
-                "generation, replay the tail\n");
-    const std::vector<std::string> phases = {"overload", "drift"};
-    for (size_t p = 0; p < phases.size(); ++p) {
-        for (const int jobsCount : {1, wide}) {
-            CheckpointPlan plan;
-            plan.base = dir + "/kill-" + phases[p] + "-j" +
-                        std::to_string(jobsCount);
-            plan.everyTicks = every;
-            // Hash the kill tick into the interesting interior:
-            // late enough that at least one checkpoint landed,
-            // early enough that real input is still outstanding.
-            const uint64_t lo = every + 2;
-            const uint64_t hi = totalTicks - 4;
-            plan.killAtTick = static_cast<int64_t>(
-                lo +
-                static_cast<uint64_t>(
-                    resilience::hashUnit(
-                        opt.seed ^ 0x51c4a11u, p,
-                        static_cast<uint64_t>(jobsCount)) *
-                    static_cast<double>(hi - lo)));
-            std::printf("  %-8s --jobs %d: kill at tick %lld\n",
-                        phases[p].c_str(), jobsCount,
-                        static_cast<long long>(plan.killAtTick));
-            std::fflush(stdout);
-            const PhaseResult reference =
-                runPhase(opt, workload, phases[p], jobsCount);
-            spawnKillChild(opt, workload, phases[p], jobsCount,
-                           plan);
-            const PhaseResult replay =
-                replayFromCheckpoint(opt, workload, phases[p],
-                                     jobsCount, plan.base);
-            assertReplayMatches(reference, replay,
-                                "checkpoint-kill", phases[p]);
-            ++totals.digestMatches;
-            removeGenerations(plan.base);
-        }
-    }
-
-    // Torn-newest fallback: tear the write of the final generation.
-    // The restore must fall back to the previous one with a warning
-    // - never a fatal - and the replayed tail must still match bit
-    // for bit.
-    {
-        CheckpointPlan plan;
-        plan.base = dir + "/torn";
-        plan.everyTicks = every;
-        plan.tornAtTick =
-            static_cast<int64_t>(totalTicks - totalTicks % every);
-        const PhaseResult reference =
-            runPhase(opt, workload, "drift", 1);
-        CheckpointOutcome outcome;
-        const PhaseResult checkpointed =
-            runPhase(opt, workload, "drift", 1, &plan, &outcome);
-        assertReplayMatches(reference, checkpointed,
-                            "checkpointing-enabled", "drift");
-        RestoreResult restored;
-        const PhaseResult replay = replayFromCheckpoint(
-            opt, workload, "drift", 1, plan.base, &restored);
-        if (!restored.usedFallback)
-            fatal("stream_sweep: torn newest generation did not "
-                  "trigger the fallback restore");
-        assertReplayMatches(reference, replay, "torn-fallback",
-                            "drift");
-        ++totals.fallbacks;
-        removeGenerations(plan.base);
-    }
-
-    // Injected I/O failures: ENOSPC must count one failure and leave
-    // the previous generation intact; EXDEV must transparently take
-    // the cross-filesystem copy fallback. Either way the service
-    // keeps running and the final checkpoint restores bit-identical.
-    {
-        CheckpointPlan plan;
-        plan.base = dir + "/iofault";
-        plan.everyTicks = every;
-        plan.enospcAtTick = static_cast<int64_t>(every);
-        plan.exdevAtTick = static_cast<int64_t>(2 * every);
-        const PhaseResult reference =
-            runPhase(opt, workload, "overload", 1);
-        CheckpointOutcome outcome;
-        const PhaseResult checkpointed =
-            runPhase(opt, workload, "overload", 1, &plan, &outcome);
-        assertReplayMatches(reference, checkpointed,
-                            "iofault-enabled", "overload");
-        if (outcome.failures != 1)
-            fatal("stream_sweep: expected exactly 1 injected "
-                  "checkpoint failure, saw %llu",
-                  static_cast<unsigned long long>(outcome.failures));
-        RestoreResult restored;
-        const PhaseResult replay = replayFromCheckpoint(
-            opt, workload, "overload", 1, plan.base, &restored);
-        if (restored.usedFallback)
-            fatal("stream_sweep: the iofault run must restore from "
-                  "its newest generation, not a fallback");
-        assertReplayMatches(reference, replay, "iofault-restore",
-                            "overload");
-        totals.ioFailures += outcome.failures;
-        removeGenerations(plan.base);
-    }
-    ::rmdir(dir.c_str());
-    std::printf("  restores digest-identical: %llu, torn "
-                "fallbacks: %llu, injected I/O failures: %llu\n",
-                static_cast<unsigned long long>(totals.digestMatches),
-                static_cast<unsigned long long>(totals.fallbacks),
-                static_cast<unsigned long long>(totals.ioFailures));
-    return totals;
-}
-
-/**
- * Hidden child mode of the checkpoint-kill phase: re-exec'd by the
- * parent, runs exactly one checkpointed phase and SIGKILLs itself at
- * the planned tick - so it never returns normally.
- */
-int
-runKillChild(const std::vector<std::string> &args)
-{
-    if (args.size() < 7)
-        fatal("stream_sweep: --kill-child needs <workload> <phase> "
-              "<jobs> <every> <kill-tick> <base>");
-    const size_t workload =
-        static_cast<size_t>(std::atoi(args[1].c_str()));
-    const std::string phase = args[2];
-    const int jobsCount = std::atoi(args[3].c_str());
-    CheckpointPlan plan;
-    plan.everyTicks = std::strtoull(args[4].c_str(), nullptr, 0);
-    plan.killAtTick = std::atoll(args[5].c_str());
-    plan.base = args[6];
-    const SweepOptions opt = parseOptions(
-        std::vector<std::string>(args.begin() + 7, args.end()));
-    if (workload >= suite.size() || jobsCount < 1 ||
-        plan.killAtTick < 0 || plan.everyTicks == 0 ||
-        plan.base.empty())
-        fatal("stream_sweep: malformed --kill-child invocation");
-    runPhase(opt, workload, phase, jobsCount, &plan);
-    fatal("stream_sweep: --kill-child survived the whole phase - "
-          "kill tick %lld was never reached",
-          static_cast<long long>(plan.killAtTick));
-    return 1;
-}
-
-/**
- * --restore BASE: rebuild the run identity from the checkpoint's
- * meta section, restore, replay the recorded tail and verify it
- * against a freshly computed uninterrupted reference.
- */
-int
-runRestoreVerify(const SweepOptions &cli, int wide)
-{
-    std::string meta, error;
-    if (!stream::peekStreamCheckpointMeta(cli.restoreBase, &meta,
-                                          &error))
-        fatal("stream_sweep: --restore %s: %s",
-              cli.restoreBase.c_str(), error.c_str());
-    SweepOptions opt = cli;
-    size_t workload = 0;
-    std::string phase;
-    if (!parseCheckpointMeta(meta, opt, workload, phase))
-        fatal("stream_sweep: --restore %s: unparseable meta '%s' - "
-              "not a stream_sweep checkpoint?",
-              cli.restoreBase.c_str(), meta.c_str());
-
-    std::printf("Restore: %s (workload %s, phase %s, %d clients, "
-                "%d rounds)\n",
-                cli.restoreBase.c_str(), suite[workload].name,
-                phase.c_str(), opt.clients, opt.rounds);
-    RestoreResult restored;
-    const PhaseResult replay = replayFromCheckpoint(
-        opt, workload, phase, wide, cli.restoreBase, &restored);
-    std::printf("restored generation %llu at tick %llu%s\n",
-                static_cast<unsigned long long>(
-                    restored.info.generation),
-                static_cast<unsigned long long>(restored.info.tick),
-                restored.usedFallback ? " (fallback generation)"
-                                      : "");
-    const PhaseResult reference =
-        runPhase(opt, workload, phase, wide);
-    assertReplayMatches(reference, replay, "restore", phase);
-    std::printf("replayed digest  %016llx matches the uninterrupted "
-                "reference\nrestore verify: all checks passed\n",
-                static_cast<unsigned long long>(replay.digest));
-    return 0;
-}
-
 int
 runSweep(int argc, char **argv)
 {
-    selfPath = argv[0];
-    const std::vector<std::string> args = positionalArgs(argc, argv);
-    if (!args.empty() && args[0] == "--kill-child")
-        return runKillChild(args);
-    const SweepOptions opt = parseOptions(args);
+    const SweepOptions opt = parseOptions(positionalArgs(argc, argv));
     const int wide = jobs() > 1 ? jobs() : 2;
-    if (!opt.restoreBase.empty())
-        return runRestoreVerify(opt, wide);
-
-    size_t gridPhases = 0;
-    bool killPhase = false;
-    for (const std::string &phase : opt.phases) {
-        if (phase == "checkpoint-kill")
-            killPhase = true;
-        else
-            ++gridPhases;
-    }
 
     std::printf("Stream sweep: hardened streaming estimation "
                 "service\n");
     std::printf("suite: %zu workloads x %zu phases, %d clients, %d "
                 "rounds, window %d blocks\n\n",
-                suite.size(), gridPhases, opt.clients, opt.rounds,
-                opt.windowBlocks);
-
-    // Operator-enabled checkpointing for the grid runs: the digest
-    // and counters must be identical with it on or off, which the
-    // serial-vs-parallel comparison below also witnesses.
-    CheckpointPlan gridPlan;
-    const CheckpointPlan *gridPlanPtr = nullptr;
-    if (!opt.checkpointBase.empty()) {
-        gridPlan.base = opt.checkpointBase;
-        gridPlan.everyTicks =
-            static_cast<uint64_t>(opt.checkpointEvery);
-        gridPlanPtr = &gridPlan;
-    }
+                suite.size(), opt.phases.size(), opt.clients,
+                opt.rounds, opt.windowBlocks);
 
     const int reps = benchRepetitions();
     std::vector<double> throughput, wallSeconds;
@@ -1246,22 +640,17 @@ runSweep(int argc, char **argv)
         const auto start = std::chrono::steady_clock::now();
         for (size_t wl = 0; wl < suite.size(); ++wl) {
             for (const std::string &phase : opt.phases) {
-                if (phase == "checkpoint-kill")
-                    continue; // runs once, after the rep loop
                 if (rep == 0) {
                     std::printf("  [%2zu/%zu] %-8s %-8s\n", wl + 1,
                                 suite.size(), suite[wl].name,
                                 phase.c_str());
                     std::fflush(stdout);
                 }
-                const PhaseResult serial =
-                    runPhase(opt, wl, phase, 1, gridPlanPtr);
+                const PhaseResult serial = runPhase(opt, wl, phase, 1);
                 const PhaseResult parallel =
-                    runPhase(opt, wl, phase, wide, gridPlanPtr);
+                    runPhase(opt, wl, phase, wide);
                 assertSamePhase(serial, parallel, suite[wl].name,
                                 phase, wide);
-                assertPhaseInteresting(serial, suite[wl].name,
-                                       phase);
                 chain = fnv1a64(&serial.digest,
                                 sizeof serial.digest, chain);
                 sum.offered += serial.offered;
@@ -1297,10 +686,6 @@ runSweep(int argc, char **argv)
         }
     }
 
-    KillHarnessTotals kill;
-    if (killPhase)
-        kill = runCheckpointKill(opt, wide);
-
     std::printf("digest chain     %016llx (identical at --jobs 1 "
                 "and --jobs %d, %d repetition(s))\n",
                 static_cast<unsigned long long>(digestChain), wide,
@@ -1326,15 +711,6 @@ runSweep(int argc, char **argv)
                 static_cast<unsigned long long>(totals.driftEngaged),
                 static_cast<unsigned long long>(
                     totals.driftRecovered));
-    if (killPhase)
-        std::printf("checkpoint-kill  %llu restore(s) "
-                    "digest-identical, %llu torn fallback(s), %llu "
-                    "injected I/O failure(s)\n",
-                    static_cast<unsigned long long>(
-                        kill.digestMatches),
-                    static_cast<unsigned long long>(kill.fallbacks),
-                    static_cast<unsigned long long>(
-                        kill.ioFailures));
 
     const auto exact = [](const char *name, double value,
                           int reps_count) {
@@ -1361,15 +737,6 @@ runSweep(int argc, char **argv)
                             double(totals.driftEngaged), reps));
     metrics.push_back(exact("drift_recovered",
                             double(totals.driftRecovered), reps));
-    if (killPhase) {
-        metrics.push_back(
-            exact("restore_digest_matches",
-                  double(kill.digestMatches), reps));
-        metrics.push_back(exact("restore_fallbacks",
-                                double(kill.fallbacks), reps));
-        metrics.push_back(exact("checkpoint_io_failures",
-                                double(kill.ioFailures), reps));
-    }
 
     MetricSeries tput;
     tput.name = "ingest_samples_per_s";
@@ -1413,8 +780,7 @@ int
 main(int argc, char **argv)
 {
     initBench(argc, argv);
-    resilience::installShutdownHandler();
-    resilience::installDumpSignalHandler();
+    installSignalHandlers();
     try {
         return runSweep(argc, argv);
     } catch (const FatalError &) {

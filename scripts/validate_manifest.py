@@ -3,7 +3,6 @@
 
 Usage: validate_manifest.py MANIFEST.json [--expect-runs N]
            [--require-stream] [--require-stream-timeline]
-           [--require-checkpoint]
 
 Checks the schema-versioned structure written by obs::RunManifest:
 field presence, types, fingerprint format, histogram snapshot shape.
@@ -182,32 +181,6 @@ def check_stream_timeline_sections(sections):
            "service ring")
 
 
-STREAM_CHECKPOINT_KEYS = (
-    "enabled", "every_ticks", "generation", "tick", "digest", "crc",
-    "written", "failures", "restores", "fallbacks")
-
-
-def check_stream_checkpoint_section(sections):
-    """Schema of the StreamCheckpointer manifest section (PR 10)."""
-    expect("stream.checkpoint" in sections,
-           "section stream.checkpoint missing (was the bench run "
-           "with --checkpoint / TDP_STREAM_CHECKPOINT?)")
-    ckpt = sections["stream.checkpoint"]
-    for key in STREAM_CHECKPOINT_KEYS:
-        expect(key in ckpt, f"stream.checkpoint.{key} missing")
-        check_number(ckpt[key], f"stream.checkpoint.{key}")
-    expect(ckpt["enabled"] == 1, "stream.checkpoint.enabled must be 1")
-    expect(ckpt["every_ticks"] >= 1,
-           "stream.checkpoint.every_ticks must be a positive cadence")
-    expect(ckpt["written"] >= 1,
-           "stream.checkpoint.written must be >= 1 - a checkpointed "
-           "run that never published a generation proves nothing")
-    expect(ckpt["generation"] >= ckpt["written"],
-           "stream.checkpoint.generation lags the written count")
-    expect(ckpt["fallbacks"] <= ckpt["restores"],
-           "stream.checkpoint.fallbacks cannot exceed restores")
-
-
 def check_manifest(doc, expect_runs):
     expect(isinstance(doc, dict), "document must be a JSON object")
     expect(doc.get("schema") == "tdp-run-manifest",
@@ -285,11 +258,6 @@ def main():
                              "sections (stream.timeline, "
                              "stream.latency_hdr, stream.flight) "
                              "written when --timeline-out is set")
-    parser.add_argument("--require-checkpoint", action="store_true",
-                        help="additionally require the "
-                             "stream.checkpoint section written "
-                             "when checkpointing is enabled "
-                             "(--checkpoint / TDP_STREAM_CHECKPOINT)")
     args = parser.parse_args()
 
     try:
@@ -303,8 +271,6 @@ def main():
         check_stream_sections(doc.get("sections", {}))
     if args.require_stream_timeline:
         check_stream_timeline_sections(doc.get("sections", {}))
-    if args.require_checkpoint:
-        check_stream_checkpoint_section(doc.get("sections", {}))
     print(f"validate_manifest: {args.manifest} OK "
           f"({len(doc['runs'])} runs, {len(doc['metrics'])} metrics, "
           f"{len(doc['stats']['counters'])} counters)")

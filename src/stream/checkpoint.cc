@@ -17,7 +17,7 @@
 #include "common/atomic_file.hh"
 #include "common/hash.hh"
 #include "common/logging.hh"
-#include "obs/run_manifest.hh"
+#include "obs/stats_registry.hh"
 #include "stream/service.hh"
 
 namespace tdp {
@@ -479,25 +479,6 @@ StreamCheckpointer::writeNow()
     last_ = info;
     service_.noteCheckpoint(info.generation, info.crc);
     return true;
-}
-
-void
-StreamCheckpointer::addManifestSections(
-    obs::RunManifest &manifest) const
-{
-    const char *section = "stream.checkpoint";
-    manifest.addSectionEntry(section, "enabled", uint64_t{1});
-    manifest.addSectionEntry(section, "every_ticks", every_);
-    manifest.addSectionEntry(section, "generation", last_.generation);
-    manifest.addSectionEntry(section, "tick", last_.tick);
-    manifest.addSectionEntry(section, "digest", last_.digest);
-    manifest.addSectionEntry(section, "crc", last_.crc);
-    manifest.addSectionEntry(section, "written", written_);
-    manifest.addSectionEntry(section, "failures", failures_);
-    manifest.addSectionEntry(section, "restores",
-                             service_.stats().restores);
-    manifest.addSectionEntry(section, "fallbacks",
-                             service_.stats().restoreFallbacks);
 }
 
 void

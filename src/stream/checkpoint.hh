@@ -48,10 +48,6 @@
 #include <string>
 
 namespace tdp {
-namespace obs {
-class RunManifest;
-} // namespace obs
-
 namespace stream {
 
 class StreamService;
@@ -167,8 +163,8 @@ std::string checkpointGenerationPath(const std::string &base,
 /**
  * Serialize the full service state and atomically publish it as
  * generation @p generation of @p base. @p meta is an opaque payload
- * the restorer hands back (the sweep stores its phase identity
- * there). False on I/O failure with a one-line reason in *error;
+ * the restorer hands back (a caller's run identity). False on I/O
+ * failure with a one-line reason in *error;
  * the previous generation is never disturbed.
  */
 bool writeStreamCheckpoint(const StreamService &service,
@@ -213,8 +209,8 @@ RestoreResult restoreStreamCheckpoint(StreamService &service,
 
 /**
  * Read the opaque meta payload of the newest parseable generation
- * without restoring anything - the harness stores its run identity
- * there, and needs it *before* it can construct the matching
+ * without restoring anything - a caller that stores its run
+ * identity there needs it *before* it can construct the matching
  * service. False with a reason when no generation parses.
  */
 bool peekStreamCheckpointMeta(const std::string &base,
@@ -258,9 +254,6 @@ class StreamCheckpointer
     uint64_t written() const { return written_; }
     uint64_t failures() const { return failures_; }
     const CheckpointInfo &last() const { return last_; }
-
-    /** Flatten into the "stream.checkpoint" manifest section. */
-    void addManifestSections(obs::RunManifest &manifest) const;
 
   private:
     StreamService &service_;

@@ -200,7 +200,7 @@ class StreamService
 
     /**
      * Session-state bytes across shards (SoA columns plus flat
-     * index), for the scale bench's bytes/session metric.
+     * index); perfbench stream-hostile reports it per session.
      */
     size_t sessionMemoryBytes() const;
 

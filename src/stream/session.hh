@@ -147,7 +147,7 @@ class SessionTable
 
     /**
      * Bytes held for session state (SoA column capacity plus the
-     * flat index), for the scale bench's bytes/session metric.
+     * flat index); perfbench stream-hostile reports it per session.
      */
     size_t memoryBytes() const;
 

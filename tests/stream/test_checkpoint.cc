@@ -4,8 +4,9 @@
  * and mid-stream round trips with lockstep tail replay against an
  * uninterrupted twin, an all-quarantined fleet, mid-window RLS
  * partials, wraparound-heavy counters, fingerprint rejection, torn
- * and doubly-corrupt generations, and injected publish faults
- * (ENOSPC, EXDEV) through the periodic checkpointer.
+ * and doubly-corrupt generations, injected publish faults (ENOSPC,
+ * EXDEV) through the periodic checkpointer, and hostile traffic: a
+ * ring backlog past the high watermark and a Degraded CPU rail.
  */
 
 #include <cmath>
@@ -523,6 +524,164 @@ TEST(StreamCheckpoint, ExdevFallsBackToCrossFilesystemCopy)
     ASSERT_TRUE(res.ok) << res.error;
     EXPECT_FALSE(res.usedFallback);
     EXPECT_EQ(restored.digest(), service.digest());
+}
+
+/**
+ * Hostile schedule of RestoreWithBacklogAndDegradedRailMatchesTwin:
+ * healthy rounds, then a 10x burst into tight rings, then a +35 W
+ * shift of the measured CPU rail. The counters stay truthful, so
+ * only the CPU rail's residuals move.
+ */
+constexpr int kBurstFrom = 40;
+constexpr int kDriftFrom = 48;
+
+/** Offer one hostile round into @p service, or only advance @p fleet
+ *  when @p service is null (the replay's fast-forward). */
+void
+hostileRound(StreamService *service, Fleet &fleet, int clients,
+             int round)
+{
+    const bool burst = round >= kBurstFrom && round < kDriftFrom;
+    const double shift = round >= kDriftFrom ? 35.0 : 0.0;
+    for (int c = 0; c < clients; ++c) {
+        for (int k = 0; k < (burst ? 10 : 1); ++k) {
+            const StreamSample s =
+                fleet.next(c, loadAt(round, c), shift);
+            if (service != nullptr)
+                service->offer(s);
+        }
+    }
+}
+
+/**
+ * Restore @p base into a fresh service, fast-forward a fresh fleet
+ * over the rounds the checkpoint covers, replay the tail at 3 workers
+ * and require every counter @p twin reports, bit for bit.
+ */
+void
+expectReplayMatchesTwin(const StreamConfig &cfg,
+                        const std::string &base, int clients,
+                        int rounds, int drainTicks,
+                        const StreamService &twin)
+{
+    StreamService restored(cfg, trainedEstimator());
+    const RestoreResult res = restoreStreamCheckpoint(restored, base);
+    ASSERT_TRUE(res.ok) << res.error;
+    const int resumeRound = static_cast<int>(restored.now());
+
+    const ExperimentPool pool3(3);
+    Fleet fleet(clients, 40);
+    for (int round = 0; round < resumeRound; ++round)
+        hostileRound(nullptr, fleet, clients, round);
+    for (int round = resumeRound; round < rounds; ++round) {
+        hostileRound(&restored, fleet, clients, round);
+        restored.tick(pool3);
+    }
+    for (int i = 0; i < drainTicks; ++i)
+        restored.tick(pool3);
+
+    EXPECT_EQ(restored.digest(), twin.digest());
+    EXPECT_EQ(restored.now(), twin.now());
+    EXPECT_EQ(restored.stats().drained, twin.stats().drained);
+    EXPECT_EQ(restored.stats().estimates, twin.stats().estimates);
+    EXPECT_EQ(restored.ingestStats().offered,
+              twin.ingestStats().offered);
+    EXPECT_EQ(restored.ingestStats().admitted,
+              twin.ingestStats().admitted);
+    EXPECT_EQ(restored.ingestStats().shed, twin.ingestStats().shed);
+    EXPECT_EQ(restored.ingestStats().overflow,
+              twin.ingestStats().overflow);
+    EXPECT_EQ(restored.sessionStats().accepted,
+              twin.sessionStats().accepted);
+    for (int r = 0; r < numRails; ++r) {
+        const Rail rail = static_cast<Rail>(r);
+        const RailStatus a = restored.railStatus(rail);
+        const RailStatus b = twin.railStatus(rail);
+        EXPECT_EQ(a.state, b.state) << railName(rail);
+        EXPECT_EQ(a.refits, b.refits) << railName(rail);
+        EXPECT_EQ(a.fullQrRefits, b.fullQrRefits) << railName(rail);
+        EXPECT_EQ(a.verifiedRefits, b.verifiedRefits)
+            << railName(rail);
+        EXPECT_EQ(a.degradedPublishes, b.degradedPublishes)
+            << railName(rail);
+        EXPECT_EQ(a.lastRefitRmse, b.lastRefitRmse) << railName(rail);
+        EXPECT_EQ(a.baselineRmse, b.baselineRmse) << railName(rail);
+        EXPECT_EQ(a.drift.windows, b.drift.windows) << railName(rail);
+        EXPECT_EQ(a.drift.engaged, b.drift.engaged) << railName(rail);
+        EXPECT_EQ(a.drift.recovered, b.drift.recovered)
+            << railName(rail);
+        EXPECT_EQ(a.drift.relapses, b.drift.relapses)
+            << railName(rail);
+    }
+}
+
+/**
+ * The bounded-loss contract under the traffic the other tests avoid:
+ * one checkpoint while tight rings hold a backlog past the high
+ * watermark (queued samples are state), one while the CPU rail is
+ * Degraded and fallbacks are being published (drift-guard state).
+ * Each restores into a fresh service and replays the tail at another
+ * worker count to the uninterrupted twin's digest and counters.
+ */
+TEST(StreamCheckpoint, RestoreWithBacklogAndDegradedRailMatchesTwin)
+{
+    StreamConfig cfg = baseConfig();
+    cfg.ingest.shards = 2;
+    cfg.ingest.ringCapacity = 16;
+    cfg.ingest.highWatermark = 8;
+    cfg.drainBudget = 4;
+    const int clients = 4;
+    const int rounds = 160;
+    const int drainTicks = 32;
+    const std::string backlogBase = freshBase("backlog");
+    const std::string degradedBase = freshBase("degraded");
+
+    StreamService twin(cfg, trainedEstimator());
+    const ExperimentPool pool1(1);
+    Fleet fleet(clients, 40);
+    bool backlogWritten = false;
+    bool degradedWritten = false;
+    CheckpointInfo info;
+    std::string error;
+    for (int round = 0; round < rounds; ++round) {
+        hostileRound(&twin, fleet, clients, round);
+        twin.tick(pool1);
+        const uint64_t backlog =
+            twin.ingestStats().admitted - twin.stats().drained;
+        if (!backlogWritten && twin.ingestStats().overflow > 0 &&
+            backlog > cfg.ingest.shards * cfg.ingest.highWatermark) {
+            ASSERT_GT(twin.ingestStats().shed, 0u);
+            ASSERT_TRUE(writeStreamCheckpoint(twin, backlogBase, 1, "",
+                                              &info, &error))
+                << error;
+            backlogWritten = true;
+        }
+        const RailStatus cpu = twin.railStatus(Rail::Cpu);
+        if (!degradedWritten && round >= kDriftFrom &&
+            cpu.state == DriftState::Degraded &&
+            cpu.degradedPublishes > 0) {
+            ASSERT_TRUE(writeStreamCheckpoint(twin, degradedBase, 1,
+                                              "", &info, &error))
+                << error;
+            degradedWritten = true;
+        }
+    }
+    for (int i = 0; i < drainTicks; ++i)
+        twin.tick(pool1);
+    ASSERT_TRUE(backlogWritten) << "rings never passed the watermark";
+    ASSERT_TRUE(degradedWritten) << "CPU rail never degraded";
+    EXPECT_GE(twin.railStatus(Rail::Cpu).drift.engaged, 1u);
+
+    {
+        SCOPED_TRACE("checkpoint with a ring backlog");
+        expectReplayMatchesTwin(cfg, backlogBase, clients, rounds,
+                                drainTicks, twin);
+    }
+    {
+        SCOPED_TRACE("checkpoint with the CPU rail degraded");
+        expectReplayMatchesTwin(cfg, degradedBase, clients, rounds,
+                                drainTicks, twin);
+    }
 }
 
 } // namespace

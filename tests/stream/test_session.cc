@@ -330,8 +330,8 @@ TEST(SessionTable, MemoryBytesTracksSessions)
     for (uint64_t client = 1; client <= 256; ++client)
         table.admit(0, validSample(client, 1));
     EXPECT_GT(table.memoryBytes(), empty);
-    // Per-session footprint stays within the scale bench's budget
-    // expectations (order hundreds of bytes, not kilobytes).
+    // Per-session footprint stays in the hundreds of bytes, not
+    // kilobytes (perfbench stream-hostile's bytes_per_session).
     EXPECT_LT(table.memoryBytes() / table.active(), 4096u);
 }
 
