@@ -20,9 +20,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
+#include <string>
 
 #include "common/bench_util.hh"
 #include "common/logging.hh"
@@ -41,6 +44,25 @@ secondsSince(Clock::time_point start)
     return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
+/**
+ * Positional argument @p name parsed whole as a positive number (an
+ * integer when @p integer is set); a usage error on anything else.
+ */
+double
+positiveArg(const char *name, const std::string &text, bool integer)
+{
+    char *end = nullptr;
+    const double value = std::strtod(text.c_str(), &end);
+    if (text.empty() || *end != '\0' || !std::isfinite(value) ||
+        value <= 0.0 ||
+        (integer && (value != std::floor(value) ||
+                     value > std::numeric_limits<int>::max())))
+        tdp::bench::usageError(tdp::formatString(
+            "%s expects a positive %s, got '%s'", name,
+            integer ? "integer" : "number", text.c_str()));
+    return value;
+}
+
 } // namespace
 
 int
@@ -54,8 +76,12 @@ main(int argc, char **argv)
 
     RunSpec spec;
     spec.workload = args.size() > 0 ? args[0] : "gcc";
-    spec.instances = args.size() > 1 ? std::atoi(args[1].c_str()) : 4;
-    spec.duration = args.size() > 2 ? std::atof(args[2].c_str()) : 60.0;
+    spec.instances =
+        args.size() > 1
+            ? static_cast<int>(positiveArg("instances", args[1], true))
+            : 4;
+    spec.duration =
+        args.size() > 2 ? positiveArg("seconds", args[2], false) : 60.0;
     spec.skip = 10.0;
     if (spec.workload == "idle")
         spec.instances = 0;

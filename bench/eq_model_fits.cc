@@ -26,12 +26,10 @@ using namespace tdp::bench;
 
 /** Training error of a model on its own training trace. */
 double
-selfError(SubsystemModel &model, const SampleTrace &trace)
+selfError(const SubsystemModel &model, const SampleTrace &trace)
 {
-    std::vector<double> modeled;
-    for (const AlignedSample &s : trace.rows())
-        modeled.push_back(model.estimate(EventVector::fromSample(s)));
-    return averageError(modeled, trace.measuredColumn(model.rail()));
+    return averageError(model.estimateTrace(trace),
+                        trace.measuredColumn(model.rail()));
 }
 
 } // namespace

@@ -47,8 +47,10 @@ main(int argc, char **argv)
     std::printf("%8s  %14s  %14s  %12s  %10s  %10s  %8s\n", "seconds",
                 "nonprefetch/s", "prefetch/s", "dma/s", "measured",
                 "l3model", "err");
-    std::vector<double> modeled, measured;
-    for (size_t i = 0; i < trace.size(); ++i) {
+    const std::vector<double> modeled = l3_model->estimateTrace(trace);
+    const std::vector<double> &measured =
+        trace.measuredColumn(Rail::Memory);
+    for (size_t i = 0; i < trace.size(); i += 10) {
         const AlignedSample s = trace.row(i);
         const double bus =
             s.totalCount(PerfEvent::BusTransactions) / s.interval;
@@ -56,18 +58,11 @@ main(int argc, char **argv)
             s.totalCount(PerfEvent::PrefetchTransactions) / s.interval;
         const double dma =
             s.totalCount(PerfEvent::DmaOtherAccesses) / s.interval;
-        const double meas = s.measured(Rail::Memory);
-        const double model =
-            l3_model->estimate(EventVector::fromSample(s));
-        modeled.push_back(model);
-        measured.push_back(meas);
-        if (i % 10 == 0) {
-            std::printf(
-                "%8.0f  %14.3e  %14.3e  %12.3e  %10.2f  %10.2f  "
-                "%7.1f%%\n",
-                s.time, bus - prefetch, prefetch, dma, meas, model,
-                (model - meas) / meas * 100.0);
-        }
+        std::printf("%8.0f  %14.3e  %14.3e  %12.3e  %10.2f  %10.2f  "
+                    "%7.1f%%\n",
+                    s.time, bus - prefetch, prefetch, dma, measured[i],
+                    modeled[i],
+                    (modeled[i] - measured[i]) / measured[i] * 100.0);
     }
 
     std::printf("\nL3-miss model average error on mcf: %.2f%% "

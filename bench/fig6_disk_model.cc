@@ -39,17 +39,12 @@ main(int argc, char **argv)
     const SampleTrace &trace = traces[1];
 
     std::printf("%8s  %10s  %10s\n", "seconds", "measured", "modeled");
-    std::vector<double> modeled, measured;
-    for (size_t i = 0; i < trace.size(); ++i) {
-        const double est =
-            model.estimate(EventVector::fromSample(trace.row(i)));
-        modeled.push_back(est);
-        measured.push_back(trace.measuredColumn(Rail::Disk)[i]);
-        if (i % 4 == 0) {
-            std::printf("%8.0f  %10.3f  %10.3f\n", trace.time(i),
-                        measured.back(), modeled.back());
-        }
-    }
+    const std::vector<double> modeled = model.estimateTrace(trace);
+    const std::vector<double> &measured =
+        trace.measuredColumn(Rail::Disk);
+    for (size_t i = 0; i < trace.size(); i += 4)
+        std::printf("%8.0f  %10.3f  %10.3f\n", trace.time(i), measured[i],
+                    modeled[i]);
 
     std::printf("\nraw average error:           %.3f%%\n",
                 averageError(modeled, measured) * 100.0);

@@ -38,17 +38,12 @@ main(int argc, char **argv)
     const SampleTrace &trace = traces[1];
 
     std::printf("%8s  %10s  %10s\n", "seconds", "measured", "modeled");
-    std::vector<double> modeled, measured;
-    for (size_t i = 0; i < trace.size(); ++i) {
-        const double est =
-            model->estimate(EventVector::fromSample(trace.row(i)));
-        modeled.push_back(est);
-        measured.push_back(trace.measuredColumn(Rail::Io)[i]);
-        if (i % 4 == 0) {
-            std::printf("%8.0f  %10.3f  %10.3f\n", trace.time(i),
-                        measured.back(), modeled.back());
-        }
-    }
+    const std::vector<double> modeled = model->estimateTrace(trace);
+    const std::vector<double> &measured =
+        trace.measuredColumn(Rail::Io);
+    for (size_t i = 0; i < trace.size(); i += 4)
+        std::printf("%8.0f  %10.3f  %10.3f\n", trace.time(i), measured[i],
+                    modeled[i]);
 
     const double dc = model->coefficients()[0];
     std::printf("\nraw average error:           %.3f%% (paper: <1%%)\n",

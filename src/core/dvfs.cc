@@ -31,16 +31,29 @@ DvfsAwareCpuModel::setFrequencyScale(double scale)
 }
 
 Watts
-DvfsAwareCpuModel::estimate(const EventVector &events) const
+DvfsAwareCpuModel::scaled(Watts nominal, size_t cpus) const
 {
-    const Watts nominal = base_->estimate(events);
     const double v = params_.voltageIntercept +
                      params_.voltageSlope * scale_;
     const double v2 = v * v;
-    const double idle =
-        params_.idleWattsPerCpu * static_cast<double>(events.cpu.size());
+    const double idle = params_.idleWattsPerCpu * static_cast<double>(cpus);
     // Static share scales with V^2; the dynamic remainder with f*V^2.
     return idle * v2 + std::max(0.0, nominal - idle) * scale_ * v2;
+}
+
+Watts
+DvfsAwareCpuModel::estimate(const EventVector &events) const
+{
+    return scaled(base_->estimate(events), events.cpu.size());
+}
+
+void
+DvfsAwareCpuModel::estimateColumn(const TraceRates &rates,
+                                  std::vector<double> &out) const
+{
+    base_->estimateColumn(rates, out);
+    for (double &w : out)
+        w = scaled(w, rates.trace().cpuCount());
 }
 
 void

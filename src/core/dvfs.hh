@@ -58,6 +58,8 @@ class DvfsAwareCpuModel : public SubsystemModel
     Rail rail() const override { return Rail::Cpu; }
     const std::string &name() const override { return name_; }
     Watts estimate(const EventVector &events) const override;
+    void estimateColumn(const TraceRates &rates,
+                        std::vector<double> &out) const override;
     void fit(const TraceRates &rates) override;
     bool trained() const override { return base_->trained(); }
     std::string describe() const override;
@@ -68,6 +70,9 @@ class DvfsAwareCpuModel : public SubsystemModel
     const CpuPowerModel &base() const { return *base_; }
 
   private:
+    /** The base model's @p nominal estimate on @p cpus CPUs, scaled. */
+    Watts scaled(Watts nominal, size_t cpus) const;
+
     std::string name_ = "cpu-fetch-dvfs";
     std::unique_ptr<CpuPowerModel> base_;
     Params params_;

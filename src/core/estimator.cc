@@ -16,56 +16,6 @@ namespace tdp {
 
 namespace {
 
-/** Named event-rate fields, for degradation diagnostics. */
-struct RateField
-{
-    const char *name;
-    double CpuEventRates::*field;
-};
-
-constexpr std::array<RateField, 12> rateFields{{
-    {"cycles", &CpuEventRates::cycles},
-    {"percentActive", &CpuEventRates::percentActive},
-    {"uopsPerCycle", &CpuEventRates::uopsPerCycle},
-    {"l3MissesPerCycle", &CpuEventRates::l3MissesPerCycle},
-    {"tlbMissesPerCycle", &CpuEventRates::tlbMissesPerCycle},
-    {"busTxPerMcycle", &CpuEventRates::busTxPerMcycle},
-    {"dmaPerCycle", &CpuEventRates::dmaPerCycle},
-    {"uncacheablePerCycle", &CpuEventRates::uncacheablePerCycle},
-    {"interruptsPerCycle", &CpuEventRates::interruptsPerCycle},
-    {"prefetchPerMcycle", &CpuEventRates::prefetchPerMcycle},
-    {"diskInterruptsPerCycle", &CpuEventRates::diskInterruptsPerCycle},
-    {"deviceInterruptsPerCycle",
-     &CpuEventRates::deviceInterruptsPerCycle},
-}};
-
-/** Bit f set when rate field f is non-finite on any CPU. */
-uint32_t
-nonFiniteMask(const EventVector &events)
-{
-    uint32_t mask = 0;
-    for (size_t f = 0; f < rateFields.size(); ++f)
-        for (const CpuEventRates &rates : events.cpu)
-            if (!std::isfinite(rates.*rateFields[f].field))
-                mask |= 1u << f;
-    return mask;
-}
-
-/** Comma-joined names of the rate fields set in @p mask. */
-std::string
-rateNames(uint32_t mask)
-{
-    std::string names;
-    for (size_t f = 0; f < rateFields.size(); ++f) {
-        if (!(mask & (1u << f)))
-            continue;
-        if (!names.empty())
-            names += ", ";
-        names += rateFields[f].name;
-    }
-    return names;
-}
-
 /** The rung name a chain's last rung degrades to. */
 const std::string noRung = "(none)";
 
@@ -255,28 +205,80 @@ SystemPowerEstimator::trainRail(Rail rail, const TraceRates &rates)
     }
 }
 
-void
-SystemPowerEstimator::recordReason(RailHealthState &state, size_t rung,
-                                   const EventVector &events,
-                                   const std::string &from,
-                                   const std::string &to) const
+const SubsystemModel &
+SystemPowerEstimator::rung(size_t rail, size_t r) const
 {
-    if (state.reasons.size() >= maxReasons)
-        return;
-    // The reason text is a function of the rung and of which rate
-    // fields are non-finite, so a key already seen needs no text.
-    const uint32_t mask = nonFiniteMask(events);
-    const uint64_t key = static_cast<uint64_t>(rung) << 32 | mask;
-    if (std::find(state.reasonKeys.begin(), state.reasonKeys.end(),
-                  key) != state.reasonKeys.end())
-        return;
-    state.reasonKeys.push_back(key);
-    std::string reason = from + " -> " + to;
+    return r == 0 ? *models_[rail] : *fallbacks_[rail][r - 1];
+}
+
+void
+SystemPowerEstimator::recordReason(RailHealthState &state, size_t rail,
+                                   size_t r, uint32_t mask) const
+{
+    state.reasonKeys.push_back(static_cast<uint64_t>(r) << 32 | mask);
+    const auto &chain = fallbacks_[rail];
+    std::string reason = rung(rail, r).name() + " -> " +
+                         (r < chain.size() ? chain[r]->name() : noRung);
     reason += mask == 0 ? std::string(": untrained")
-                        : ": non-finite rates (" + rateNames(mask) + ")";
+                        : ": non-finite rates (" + rateFieldNames(mask) +
+                              ")";
     if (std::find(state.reasons.begin(), state.reasons.end(), reason) ==
         state.reasons.end())
         state.reasons.push_back(reason);
+}
+
+template <typename Trained, typename Value, typename Mask>
+Watts
+SystemPowerEstimator::walkChain(size_t rail, const Trained &trained,
+                                const Value &value,
+                                const Mask &mask) const
+{
+    auto &state = health_[rail];
+    const auto &chain = fallbacks_[rail];
+    if (state.rungUses.size() != chain.size() + 1)
+        state.rungUses.assign(chain.size() + 1, 0);
+    ++state.estimates;
+    // Why rung r failed. The reason text is a function of the rung and
+    // of which rate fields are non-finite, so a (rung, mask) key
+    // already seen needs no text, and a full list needs no mask.
+    const auto fail = [&](size_t r) {
+        if (state.reasons.size() >= maxReasons)
+            return;
+        const uint32_t m = mask();
+        const uint64_t key = static_cast<uint64_t>(r) << 32 | m;
+        if (std::find(state.reasonKeys.begin(), state.reasonKeys.end(),
+                      key) == state.reasonKeys.end())
+            recordReason(state, rail, r, m);
+    };
+
+    // Single-model rails keep the legacy contract exactly: whatever
+    // the model returns (or throws, when untrained) passes through.
+    if (chain.empty()) {
+        const Watts w = value(0);
+        if (std::isfinite(w)) {
+            ++state.rungUses[0];
+        } else {
+            ++state.unestimable;
+            fail(0);
+        }
+        return w;
+    }
+
+    for (size_t r = 0; r < chain.size() + 1; ++r) {
+        if (trained(r)) {
+            const Watts w = value(r);
+            if (std::isfinite(w)) {
+                ++state.rungUses[r];
+                if (r > 0)
+                    ++state.degraded;
+                return w;
+            }
+        }
+        fail(r);
+    }
+
+    ++state.unestimable;
+    return std::numeric_limits<double>::quiet_NaN();
 }
 
 Watts
@@ -285,48 +287,14 @@ SystemPowerEstimator::estimateRail(const EventVector &events,
 {
     const size_t idx = static_cast<size_t>(rail);
     const SubsystemModel &primary = model(rail);
-
-    auto &state = health_[idx];
     const auto &chain = fallbacks_[idx];
-    if (state.rungUses.size() != chain.size() + 1)
-        state.rungUses.assign(chain.size() + 1, 0);
-    ++state.estimates;
-
-    // Single-model rails keep the legacy contract exactly: whatever
-    // the model returns (or throws, when untrained) passes through.
-    if (chain.empty()) {
-        const Watts w = primary.estimate(events);
-        if (std::isfinite(w)) {
-            ++state.rungUses[0];
-        } else {
-            ++state.unestimable;
-            recordReason(state, 0, events, primary.name(), noRung);
-        }
-        return w;
-    }
-
-    for (size_t r = 0; r < chain.size() + 1; ++r) {
-        const SubsystemModel &m =
-            r == 0 ? primary : *chain[r - 1];
-        const std::string &next =
-            r < chain.size() ? chain[r]->name() : noRung;
-        if (!m.trained()) {
-            recordReason(state, r, events, m.name(), next);
-            continue;
-        }
-        const Watts w = m.estimate(events);
-        if (!std::isfinite(w)) {
-            recordReason(state, r, events, m.name(), next);
-            continue;
-        }
-        ++state.rungUses[r];
-        if (r > 0)
-            ++state.degraded;
-        return w;
-    }
-
-    ++state.unestimable;
-    return std::numeric_limits<double>::quiet_NaN();
+    const auto at = [&](size_t r) -> const SubsystemModel & {
+        return r == 0 ? primary : *chain[r - 1];
+    };
+    return walkChain(
+        idx, [&](size_t r) { return at(r).trained(); },
+        [&](size_t r) { return at(r).estimate(events); },
+        [&] { return events.nonFiniteMask(); });
 }
 
 PowerBreakdown
@@ -339,33 +307,58 @@ SystemPowerEstimator::estimate(const EventVector &events) const
     return out;
 }
 
-namespace {
-
-/**
- * The estimator's one per-sample loop: call fn with each sample's
- * event vector, in trace order, reusing one vector's storage.
- */
-template <typename Fn>
-void
-forEachSample(const SampleTrace &trace, Fn &&fn)
+size_t
+SystemPowerEstimator::walkLength(const TraceRates &rates, size_t first,
+                                 size_t last) const
 {
-    EventVector events;
-    for (size_t i = 0; i < trace.size(); ++i) {
-        EventVector::fromTraceInto(trace, i, events);
-        fn(events);
+    // A rail that cannot estimate at all (no model, or an untrained
+    // model with no fallback) throws on its first sample, as the
+    // per-sample walk did after the rails before it had estimated
+    // that sample: walk that one sample only, so health matches.
+    size_t n = rates.derived();
+    for (size_t r = first; r < last; ++r)
+        if (!models_[r] || (fallbacks_[r].empty() && !models_[r]->trained()))
+            n = std::min<size_t>(n, 1);
+    return n;
+}
+
+void
+SystemPowerEstimator::walkTrace(const TraceRates &rates, size_t n,
+                                size_t rail,
+                                std::vector<double> &out) const
+{
+    out.resize(n);
+    if (n == 0)
+        return;
+    model(static_cast<Rail>(rail)); // fatal() when the rail has no model
+    const size_t rungs = fallbacks_[rail].size() + 1;
+    std::vector<char> trained(rungs);
+    for (size_t r = 0; r < rungs; ++r)
+        trained[r] = rung(rail, r).trained();
+    // Each rung's column, evaluated the first time the walk needs it.
+    std::vector<std::vector<double>> columns(rungs);
+    for (size_t i = 0; i < n; ++i) {
+        out[i] = walkChain(
+            rail, [&](size_t r) { return trained[r] != 0; },
+            [&](size_t r) {
+                std::vector<double> &column = columns[r];
+                if (column.empty())
+                    rung(rail, r).estimateColumn(rates, column);
+                return column[i];
+            },
+            [&] { return rates.nonFiniteMask(i); });
     }
 }
 
-} // namespace
-
-std::vector<PowerBreakdown>
+std::array<std::vector<double>, numRails>
 SystemPowerEstimator::estimateTrace(const SampleTrace &trace) const
 {
-    std::vector<PowerBreakdown> out;
-    out.reserve(trace.size());
-    forEachSample(trace, [&](const EventVector &events) {
-        out.push_back(estimate(events));
-    });
+    const TraceRates rates(trace);
+    const size_t n = walkLength(rates, 0, numRails);
+    std::array<std::vector<double>, numRails> out;
+    for (size_t r = 0; r < numRails; ++r)
+        walkTrace(rates, n, r, out[r]);
+    rates.requireDerived();
     return out;
 }
 
@@ -373,11 +366,11 @@ std::vector<double>
 SystemPowerEstimator::modeledColumn(const SampleTrace &trace,
                                     Rail rail) const
 {
+    const size_t idx = static_cast<size_t>(rail);
+    const TraceRates rates(trace);
     std::vector<double> out;
-    out.reserve(trace.size());
-    forEachSample(trace, [&](const EventVector &events) {
-        out.push_back(estimateRail(events, rail));
-    });
+    walkTrace(rates, walkLength(rates, idx, idx + 1), idx, out);
+    rates.requireDerived();
     return out;
 }
 

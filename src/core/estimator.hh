@@ -159,11 +159,15 @@ class SystemPowerEstimator
     PowerBreakdown estimate(const EventVector &events) const;
 
     /**
-     * Estimate across a whole trace, deriving each sample's event
-     * vector once. Health is kept per rail, so each rail's report
-     * equals what modeledColumn() records for that rail alone.
+     * Estimate every rail across a whole trace, rail-major: each
+     * rail's rungs evaluate their columns once from one rate table,
+     * and the chain is walked per sample on those values with
+     * estimateRail()'s accounting, so the values and the health
+     * report (counts, and reasons in their order) equal a per-sample
+     * estimateRail() walk. A zero-cycle sample raises the event
+     * vector's fatal() after the samples before it are recorded.
      */
-    std::vector<PowerBreakdown> estimateTrace(
+    std::array<std::vector<double>, numRails> estimateTrace(
         const SampleTrace &trace) const;
 
     /** Modeled power column for one rail over a trace. */
@@ -192,10 +196,30 @@ class SystemPowerEstimator
         std::vector<uint64_t> reasonKeys;
     };
 
-    void recordReason(RailHealthState &state, size_t rung,
-                      const EventVector &events,
-                      const std::string &from,
-                      const std::string &to) const;
+    /** Rung @p r of rail @p rail: 0 the primary, then the fallbacks. */
+    const SubsystemModel &rung(size_t rail, size_t r) const;
+
+    /** Record the reason of a new (rung @p r, rate @p mask) key. */
+    void recordReason(RailHealthState &state, size_t rail, size_t r,
+                      uint32_t mask) const;
+
+    /**
+     * The one chain walk, for one sample of rail @p rail: trained(r)
+     * and value(r) give rung r's state and estimate; mask() gives the
+     * sample's non-finite rate mask and is called only while the
+     * rail's reason list has room.
+     */
+    template <typename Trained, typename Value, typename Mask>
+    Watts walkChain(size_t rail, const Trained &trained,
+                    const Value &value, const Mask &mask) const;
+
+    /** Samples a trace walk of the rails in [first, last) covers. */
+    size_t walkLength(const TraceRates &rates, size_t first,
+                      size_t last) const;
+
+    /** Walk rail @p rail over the first @p n samples into @p out. */
+    void walkTrace(const TraceRates &rates, size_t n, size_t rail,
+                   std::vector<double> &out) const;
 
     std::array<std::unique_ptr<SubsystemModel>, numRails> models_;
     std::array<std::vector<std::unique_ptr<SubsystemModel>>, numRails>

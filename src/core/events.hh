@@ -9,6 +9,8 @@
 #ifndef TDP_CORE_EVENTS_HH
 #define TDP_CORE_EVENTS_HH
 
+#include <array>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -77,45 +79,89 @@ struct EventVector
     static void fromSampleInto(const AlignedSample &sample,
                                EventVector &out);
 
-    /** fromSampleInto() for sample @p i of @p trace, read in place. */
-    static void fromTraceInto(const SampleTrace &trace, size_t i,
-                              EventVector &out);
-
     /** Sum of one rate across CPUs (member pointer selector). */
     double total(double CpuEventRates::*field) const;
 
     /** Sum of the squares of one rate across CPUs. */
     double totalSquared(double CpuEventRates::*field) const;
+
+    /** Bit f set when rate field f is non-finite on any CPU. */
+    uint32_t nonFiniteMask() const;
 };
 
+/** Rate fields of CpuEventRates, in declaration order. */
+constexpr size_t numRateFields = 12;
+
+/** Comma-joined names of the rate fields whose bits are set in @p mask. */
+std::string rateFieldNames(uint32_t mask);
+
 /**
- * Every sample's per-CPU rates, derived once for all fits on a trace
- * and summed in CPU order as EventVector::total() sums them. A
- * zero-cycle sample ends the table; reading it is the fatal()
- * EventVector would raise, so models that read no rates still train.
+ * The one batch derivation of a trace's rates, for every fit and
+ * every estimate over a trace. The first time a reader asks for a
+ * field, its per-CPU rates are derived with EventVector's formulas
+ * and summed per sample in CPU order from 0.0, as EventVector::total()
+ * and totalSquared() sum them, so a value read here is bit-identical
+ * to the event vector of the same sample. A zero-cycle sample ends
+ * the table: the columns cover derived() samples, and reading past
+ * them is the fatal() EventVector would raise, so models that read no
+ * rates still train. Lazily filled, so one thread at a time.
  */
 class TraceRates
 {
   public:
-    /** Derive from @p trace, which must outlive the table. */
+    /** Rates of @p trace, which must outlive the table. */
     explicit TraceRates(const SampleTrace &trace);
 
     const SampleTrace &trace() const { return trace_; }
     size_t size() const { return trace_.size(); }
 
+    /** Samples before the first zero-cycle sample (size() if none). */
+    size_t derived() const { return derived_; }
+
+    /** fatal() with the event vector's message unless derived() == size(). */
+    void requireDerived() const;
+
     /**
-     * One rate of sample @p i summed across CPUs, or with @p squared
-     * the sum of its squares (EventVector::totalSquared()).
+     * One rate summed across CPUs per derived sample, or with
+     * @p squared the sum of its squares (EventVector::totalSquared()).
      */
-    double total(size_t i, double CpuEventRates::*field,
-                 bool squared = false) const;
+    const std::vector<double> &totals(double CpuEventRates::*field,
+                                      bool squared = false) const;
+
+    /**
+     * EventVector::nonFiniteMask() of derived sample @p i. Zero with
+     * no division when the whole trace's counters bound every rate.
+     */
+    uint32_t
+    nonFiniteMask(size_t i) const
+    {
+        return allFinite_ == 1 ? 0 : sampleMask(i);
+    }
 
   private:
+    /** nonFiniteMask() past the all-finite shortcut. */
+    uint32_t sampleMask(size_t i) const;
+
+    /** One field's per-sample totals and totals of squares. */
+    struct Field
+    {
+        std::vector<double> totals;
+        std::vector<double> squares;
+        bool ready = false;
+    };
+
+    /** Field @p f, derived on first use. */
+    const Field &field(size_t f) const;
+
     const SampleTrace &trace_;
-    /** cpuCount() rates per derived sample, sample major. */
-    std::vector<CpuEventRates> rates_;
+    size_t derived_ = 0;
+    /** The least cycle count of the trace, ignoring NaN. */
+    double leastCycles_ = 0.0;
     /** Why derivation stopped short of the trace, if it did. */
     std::string error_;
+    mutable std::array<Field, numRateFields> fields_;
+    /** 1 when every rate is finite, 0 when some may not be, -1 unknown. */
+    mutable int allFinite_ = -1;
 };
 
 } // namespace tdp

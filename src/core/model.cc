@@ -25,28 +25,26 @@ class TraceDesignSource : public DesignSource
     TraceDesignSource(const TraceRates &rates, Rail rail,
                       const std::vector<double CpuEventRates::*> &fields,
                       bool with_squares)
-        : rates_(rates), measured_(rates.trace().measuredColumn(rail)),
-          fields_(fields), withSquares_(with_squares)
+        : rates_(rates), measured_(rates.trace().measuredColumn(rail))
     {
+        for (double CpuEventRates::*field : fields) {
+            columns_.push_back(&rates.totals(field));
+            if (with_squares)
+                columns_.push_back(&rates.totals(field, true));
+        }
     }
 
     size_t sampleCount() const override { return rates_.size(); }
 
-    size_t
-    regressorCount() const override
-    {
-        return fields_.size() * (withSquares_ ? 2 : 1);
-    }
+    size_t regressorCount() const override { return columns_.size(); }
 
     void
     row(size_t i, double *out) const override
     {
-        size_t o = 0;
-        for (double CpuEventRates::*field : fields_) {
-            out[o++] = rates_.total(i, field);
-            if (withSquares_)
-                out[o++] = rates_.total(i, field, true);
-        }
+        if (i >= rates_.derived())
+            rates_.requireDerived();
+        for (const std::vector<double> *column : columns_)
+            *out++ = (*column)[i];
     }
 
     double response(size_t i) const override { return measured_[i]; }
@@ -54,8 +52,8 @@ class TraceDesignSource : public DesignSource
   private:
     const TraceRates &rates_;
     const std::vector<double> &measured_;
-    const std::vector<double CpuEventRates::*> &fields_;
-    bool withSquares_;
+    /** The rate table's totals (and squares), in regressor order. */
+    std::vector<const std::vector<double> *> columns_;
 };
 
 /**
@@ -102,6 +100,16 @@ fitColumns(const TraceRates &rates, Rail rail,
 
 } // namespace
 
+std::vector<double>
+SubsystemModel::estimateTrace(const SampleTrace &trace) const
+{
+    const TraceRates rates(trace);
+    std::vector<double> out;
+    estimateColumn(rates, out);
+    rates.requireDerived();
+    return out;
+}
+
 // ---------------------------------------------------------------- CPU
 
 CpuPowerModel::CpuPowerModel() = default;
@@ -111,9 +119,23 @@ CpuPowerModel::estimate(const EventVector &events) const
 {
     if (!trained_)
         panic("CpuPowerModel::estimate before training");
-    return intercept_ +
-           activeCoef_ * events.total(&CpuEventRates::percentActive) +
-           uopCoef_ * events.total(&CpuEventRates::uopsPerCycle);
+    return power(events.total(&CpuEventRates::percentActive),
+                 events.total(&CpuEventRates::uopsPerCycle));
+}
+
+void
+CpuPowerModel::estimateColumn(const TraceRates &rates,
+                              std::vector<double> &out) const
+{
+    if (!trained_)
+        panic("CpuPowerModel::estimate before training");
+    const std::vector<double> &active =
+        rates.totals(&CpuEventRates::percentActive);
+    const std::vector<double> &uops =
+        rates.totals(&CpuEventRates::uopsPerCycle);
+    out.resize(active.size());
+    for (size_t i = 0; i < out.size(); ++i)
+        out[i] = power(active[i], uops[i]);
 }
 
 Watts
@@ -181,8 +203,20 @@ QuadraticEventModel::estimate(const EventVector &events) const
 {
     if (!trained_)
         panic("%s::estimate before training", name_.c_str());
-    return intercept_ + linear_ * events.total(field_) +
-           quadratic_ * events.totalSquared(field_);
+    return power(events.total(field_), events.totalSquared(field_));
+}
+
+void
+QuadraticEventModel::estimateColumn(const TraceRates &rates,
+                                    std::vector<double> &out) const
+{
+    if (!trained_)
+        panic("%s::estimate before training", name_.c_str());
+    const std::vector<double> &totals = rates.totals(field_);
+    const std::vector<double> &squares = rates.totals(field_, true);
+    out.resize(totals.size());
+    for (size_t i = 0; i < out.size(); ++i)
+        out[i] = power(totals[i], squares[i]);
 }
 
 void
@@ -256,10 +290,25 @@ DiskPowerModel::estimate(const EventVector &events) const
         panic("DiskPowerModel::estimate before training");
     const auto irq = &CpuEventRates::diskInterruptsPerCycle;
     const auto dma = &CpuEventRates::dmaPerCycle;
-    return intercept_ + irqLinear_ * events.total(irq) +
-           irqQuadratic_ * events.totalSquared(irq) +
-           dmaLinear_ * events.total(dma) +
-           dmaQuadratic_ * events.totalSquared(dma);
+    return power(events.total(irq), events.totalSquared(irq),
+                 events.total(dma), events.totalSquared(dma));
+}
+
+void
+DiskPowerModel::estimateColumn(const TraceRates &rates,
+                               std::vector<double> &out) const
+{
+    if (!trained_)
+        panic("DiskPowerModel::estimate before training");
+    const auto irq = &CpuEventRates::diskInterruptsPerCycle;
+    const auto dma = &CpuEventRates::dmaPerCycle;
+    const std::vector<double> &irqs = rates.totals(irq);
+    const std::vector<double> &irq_squares = rates.totals(irq, true);
+    const std::vector<double> &dmas = rates.totals(dma);
+    const std::vector<double> &dma_squares = rates.totals(dma, true);
+    out.resize(irqs.size());
+    for (size_t i = 0; i < out.size(); ++i)
+        out[i] = power(irqs[i], irq_squares[i], dmas[i], dma_squares[i]);
 }
 
 void
@@ -324,6 +373,15 @@ ConstantPowerModel::estimate(const EventVector & /* events */) const
     if (!trained_)
         panic("%s::estimate before training", name_.c_str());
     return constant_;
+}
+
+void
+ConstantPowerModel::estimateColumn(const TraceRates &rates,
+                                   std::vector<double> &out) const
+{
+    if (!trained_)
+        panic("%s::estimate before training", name_.c_str());
+    out.assign(rates.derived(), constant_);
 }
 
 void

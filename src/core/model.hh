@@ -37,11 +37,25 @@ class SubsystemModel
     /** Estimate the subsystem power for one sample (W). */
     virtual Watts estimate(const EventVector &events) const = 0;
 
+    /**
+     * Estimate every derived sample of a trace into @p out, resized
+     * to rates.derived(): estimate() of each sample's event vector,
+     * bit for bit, from the trace's rate table.
+     */
+    virtual void estimateColumn(const TraceRates &rates,
+                                std::vector<double> &out) const = 0;
+
     /** Fit coefficients to a training trace's derived rates. */
     virtual void fit(const TraceRates &rates) = 0;
 
     /** Fit coefficients from an aligned training trace. */
     void train(const SampleTrace &trace) { fit(TraceRates(trace)); }
+
+    /**
+     * estimate() of every sample of a trace, by estimateColumn();
+     * fatal() at a zero-cycle sample, as the event vector is.
+     */
+    std::vector<double> estimateTrace(const SampleTrace &trace) const;
 
     /** True once coefficients are available. */
     virtual bool trained() const = 0;
@@ -69,6 +83,8 @@ class CpuPowerModel : public SubsystemModel
     Rail rail() const override { return Rail::Cpu; }
     const std::string &name() const override { return name_; }
     Watts estimate(const EventVector &events) const override;
+    void estimateColumn(const TraceRates &rates,
+                        std::vector<double> &out) const override;
     void fit(const TraceRates &rates) override;
     bool trained() const override { return trained_; }
     std::string describe() const override;
@@ -83,6 +99,13 @@ class CpuPowerModel : public SubsystemModel
     Watts estimateCpu(const EventVector &events, int cpu) const;
 
   private:
+    /** Equation 1 from the summed rates. */
+    Watts
+    power(double active, double uops) const
+    {
+        return intercept_ + activeCoef_ * active + uopCoef_ * uops;
+    }
+
     std::string name_ = "cpu-fetch";
     double intercept_ = 0.0;
     double activeCoef_ = 0.0;
@@ -110,6 +133,8 @@ class QuadraticEventModel : public SubsystemModel
     Rail rail() const override { return rail_; }
     const std::string &name() const override { return name_; }
     Watts estimate(const EventVector &events) const override;
+    void estimateColumn(const TraceRates &rates,
+                        std::vector<double> &out) const override;
     void fit(const TraceRates &rates) override;
     bool trained() const override { return trained_; }
     std::string describe() const override;
@@ -117,6 +142,13 @@ class QuadraticEventModel : public SubsystemModel
     void setCoefficients(const std::vector<double> &coeffs) override;
 
   private:
+    /** The quadratic from the rate's sum and sum of squares. */
+    Watts
+    power(double total, double squares) const
+    {
+        return intercept_ + linear_ * total + quadratic_ * squares;
+    }
+
     std::string name_;
     Rail rail_;
     double CpuEventRates::*field_;
@@ -147,6 +179,8 @@ class DiskPowerModel : public SubsystemModel
     Rail rail() const override { return Rail::Disk; }
     const std::string &name() const override { return name_; }
     Watts estimate(const EventVector &events) const override;
+    void estimateColumn(const TraceRates &rates,
+                        std::vector<double> &out) const override;
     void fit(const TraceRates &rates) override;
     bool trained() const override { return trained_; }
     std::string describe() const override;
@@ -154,6 +188,15 @@ class DiskPowerModel : public SubsystemModel
     void setCoefficients(const std::vector<double> &coeffs) override;
 
   private:
+    /** Equation 4 from the two rates' sums and sums of squares. */
+    Watts
+    power(double irq, double irq_squares, double dma,
+          double dma_squares) const
+    {
+        return intercept_ + irqLinear_ * irq + irqQuadratic_ * irq_squares +
+               dmaLinear_ * dma + dmaQuadratic_ * dma_squares;
+    }
+
     std::string name_ = "disk-irq-dma";
     double intercept_ = 0.0;
     double irqLinear_ = 0.0;
@@ -178,6 +221,8 @@ class ConstantPowerModel : public SubsystemModel
     Rail rail() const override { return rail_; }
     const std::string &name() const override { return name_; }
     Watts estimate(const EventVector &events) const override;
+    void estimateColumn(const TraceRates &rates,
+                        std::vector<double> &out) const override;
     void fit(const TraceRates &rates) override;
     bool trained() const override { return trained_; }
     std::string describe() const override;

@@ -37,15 +37,12 @@ const MetricDef metricDefs[] = {
      &CpuEventRates::deviceInterruptsPerCycle},
 };
 
-/** One rate's across-CPU total per sample of a trace. */
-std::vector<double>
+/** One rate's across-CPU total per sample of a whole trace. */
+const std::vector<double> &
 totalColumn(const TraceRates &rates, double CpuEventRates::*field)
 {
-    std::vector<double> out;
-    out.reserve(rates.size());
-    for (size_t i = 0; i < rates.size(); ++i)
-        out.push_back(rates.total(i, field));
-    return out;
+    rates.requireDerived();
+    return rates.totals(field);
 }
 
 } // namespace
@@ -64,8 +61,10 @@ EventSelector::metricColumn(const SampleTrace &trace,
                             const std::string &metric)
 {
     for (const MetricDef &def : metricDefs) {
-        if (metric == def.name)
-            return totalColumn(TraceRates(trace), def.field);
+        if (metric == def.name) {
+            const TraceRates rates(trace);
+            return totalColumn(rates, def.field);
+        }
     }
     fatal("EventSelector: unknown metric '%s'", metric.c_str());
 }

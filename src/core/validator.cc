@@ -26,13 +26,12 @@ Validator::validate(const std::string &workload,
 
     ValidationResult result;
     result.workload = workload;
-    const std::vector<PowerBreakdown> estimates =
+    const std::array<std::vector<double>, numRails> estimates =
         estimator_.estimateTrace(trace);
-    std::vector<double> modeled(estimates.size());
     for (int r = 0; r < numRails; ++r) {
         const Rail rail = static_cast<Rail>(r);
-        for (size_t i = 0; i < estimates.size(); ++i)
-            modeled[i] = estimates[i].rail(rail);
+        const std::vector<double> &modeled =
+            estimates[static_cast<size_t>(r)];
         const std::vector<double> &measured =
             trace.measuredColumn(rail);
         double err;

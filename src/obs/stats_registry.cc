@@ -16,20 +16,34 @@ namespace obs {
 namespace {
 
 /**
- * Registries are identified by a process-unique epoch so a thread's
- * cached (registry, shard) pairs can never alias a later registry
- * constructed at the same address.
+ * Live registries by process-unique epoch. A thread's cached (epoch,
+ * shard) pairs can never alias a later registry constructed at the
+ * same address, and an exiting thread reaches through this directory
+ * only registries still alive. Leaked like StatsRegistry::global().
  */
-std::atomic<uint64_t> nextRegistryEpoch{1};
-
-/** Per-registry epoch, assigned lazily on first shard lookup. */
-struct ShardCacheEntry
+struct Directory
 {
-    uint64_t epoch;
-    void *shard;
+    std::mutex mutex;
+    uint64_t nextEpoch = 1;
+    std::unordered_map<uint64_t, StatsRegistry *> live;
 };
 
-thread_local std::vector<ShardCacheEntry> shardCache;
+Directory &
+directory()
+{
+    static Directory *dir = new Directory();
+    return *dir;
+}
+
+/** Slot @p index of @p slots, grown to hold it. */
+template <typename T>
+T &
+slotAt(std::vector<T> &slots, uint32_t index)
+{
+    if (slots.size() <= index)
+        slots.resize(index + 1);
+    return slots[index];
+}
 
 const char *
 kindName(StatKind kind)
@@ -113,26 +127,59 @@ StatsRegistry::histogram(const std::string &path)
     return registerStat(path, StatKind::Histogram);
 }
 
+StatsRegistry::~StatsRegistry()
+{
+    const uint64_t epoch = registryEpoch_.load(std::memory_order_acquire);
+    if (epoch == 0)
+        return;
+    Directory &dir = directory();
+    std::lock_guard<std::mutex> lock(dir.mutex);
+    dir.live.erase(epoch);
+}
+
 StatsRegistry::Shard &
 StatsRegistry::localShard()
 {
-    // Lazily stamp this registry with its process-unique epoch so a
-    // thread's cached shard pointers can never alias a different
-    // registry later constructed at the same address.
+    /** This thread's shards, retired into their registries at exit. */
+    struct ThreadShards
+    {
+        struct Entry
+        {
+            uint64_t epoch;
+            Shard *shard;
+        };
+        std::vector<Entry> entries;
+
+        ~ThreadShards()
+        {
+            Directory &dir = directory();
+            std::lock_guard<std::mutex> lock(dir.mutex);
+            for (const Entry &entry : entries) {
+                // A registry destroyed first has freed the shard.
+                const auto it = dir.live.find(entry.epoch);
+                if (it != dir.live.end())
+                    it->second->retire(entry.shard);
+            }
+        }
+    };
+    thread_local ThreadShards cache;
+
+    // Lazily stamp this registry with its process-unique epoch.
     uint64_t epoch = registryEpoch_.load(std::memory_order_acquire);
     if (epoch == 0) {
-        std::lock_guard<std::mutex> lock(mutex_);
+        Directory &dir = directory();
+        std::lock_guard<std::mutex> lock(dir.mutex);
         epoch = registryEpoch_.load(std::memory_order_relaxed);
         if (epoch == 0) {
-            epoch = nextRegistryEpoch.fetch_add(
-                1, std::memory_order_relaxed);
+            epoch = dir.nextEpoch++;
+            dir.live.emplace(epoch, this);
             registryEpoch_.store(epoch, std::memory_order_release);
         }
     }
 
-    for (const ShardCacheEntry &entry : shardCache)
+    for (const ThreadShards::Entry &entry : cache.entries)
         if (entry.epoch == epoch)
-            return *static_cast<Shard *>(entry.shard);
+            return *entry.shard;
 
     auto shard = std::make_unique<Shard>();
     Shard *raw = shard.get();
@@ -140,8 +187,51 @@ StatsRegistry::localShard()
         std::lock_guard<std::mutex> lock(mutex_);
         shards_.push_back(std::move(shard));
     }
-    shardCache.push_back(ShardCacheEntry{epoch, raw});
+    cache.entries.push_back(ThreadShards::Entry{epoch, raw});
     return *raw;
+}
+
+void
+StatsRegistry::retire(Shard *shard)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const Def &def : defs_) {
+        switch (def.kind) {
+          case StatKind::Counter:
+            if (auto *slot = shard->counters.find(def.index))
+                slotAt(retired_.counters, def.index) +=
+                    slot->load(std::memory_order_relaxed);
+            break;
+          case StatKind::Gauge:
+            if (auto *slot = shard->gauges.find(def.index)) {
+                auto &latest = slotAt(retired_.gauges, def.index);
+                const uint64_t stamp =
+                    slot->stamp.load(std::memory_order_acquire);
+                if (stamp > latest.first)
+                    latest = {stamp,
+                              slot->bits.load(std::memory_order_relaxed)};
+            }
+            break;
+          case StatKind::Histogram:
+            if (auto *slot = shard->histograms.find(def.index)) {
+                HistogramData &data =
+                    slotAt(retired_.histograms, def.index);
+                for (int b = 0; b < histogramBuckets; ++b)
+                    data.buckets[static_cast<size_t>(b)] +=
+                        slot->buckets[static_cast<size_t>(b)].load(
+                            std::memory_order_relaxed);
+                data.count += slot->count.load(std::memory_order_relaxed);
+                data.sum += slot->sum.load(std::memory_order_relaxed);
+            }
+            break;
+        }
+    }
+    for (auto it = shards_.begin(); it != shards_.end(); ++it) {
+        if (it->get() == shard) {
+            shards_.erase(it);
+            break;
+        }
+    }
 }
 
 void
@@ -224,7 +314,9 @@ StatsRegistry::snapshot() const
     for (const Def &def : defs_) {
         switch (def.kind) {
           case StatKind::Counter: {
-            uint64_t total = 0;
+            uint64_t total = def.index < retired_.counters.size()
+                                 ? retired_.counters[def.index]
+                                 : 0;
             for (const auto &shard : shards_) {
                 if (auto *slot = shard->counters.find(def.index))
                     total += slot->load(std::memory_order_relaxed);
@@ -235,6 +327,10 @@ StatsRegistry::snapshot() const
           case StatKind::Gauge: {
             uint64_t best_stamp = 0;
             double value = 0.0;
+            if (def.index < retired_.gauges.size()) {
+                best_stamp = retired_.gauges[def.index].first;
+                value = bitsDouble(retired_.gauges[def.index].second);
+            }
             for (const auto &shard : shards_) {
                 if (auto *slot = shard->gauges.find(def.index)) {
                     const uint64_t stamp =
@@ -251,7 +347,9 @@ StatsRegistry::snapshot() const
             break;
           }
           case StatKind::Histogram: {
-            HistogramData data;
+            HistogramData data = def.index < retired_.histograms.size()
+                                     ? retired_.histograms[def.index]
+                                     : HistogramData{};
             for (const auto &shard : shards_) {
                 if (auto *slot = shard->histograms.find(def.index)) {
                     for (int b = 0; b < histogramBuckets; ++b)
@@ -276,6 +374,7 @@ void
 StatsRegistry::reset()
 {
     std::lock_guard<std::mutex> lock(mutex_);
+    retired_ = Retired{};
     for (const auto &shard : shards_) {
         for (const Def &def : defs_) {
             switch (def.kind) {
@@ -307,6 +406,13 @@ StatsRegistry::registeredCount() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return defs_.size();
+}
+
+size_t
+StatsRegistry::shardCount() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return shards_.size();
 }
 
 void

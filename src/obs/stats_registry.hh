@@ -17,8 +17,11 @@
  * no locks, no allocation in steady state - so `--jobs N` experiment
  * workers never contend. snapshot() merges all shards under the
  * registry mutex; registration is likewise a cold, mutex-guarded
- * path. With the registry disabled (the default) every update is a
- * single relaxed load and branch, and bench output is untouched.
+ * path. When a thread exits, its shards are folded into their
+ * registries' retired totals and freed, so pools that start threads
+ * per call hold one shard per live thread, not one per thread ever.
+ * With the registry disabled (the default) every update is a single
+ * relaxed load and branch, and bench output is untouched.
  */
 
 #ifndef TDP_OBS_STATS_REGISTRY_HH
@@ -33,6 +36,7 @@
 #include <ostream>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace tdp {
@@ -97,6 +101,7 @@ class StatsRegistry
     };
 
     StatsRegistry() = default;
+    ~StatsRegistry();
 
     StatsRegistry(const StatsRegistry &) = delete;
     StatsRegistry &operator=(const StatsRegistry &) = delete;
@@ -154,6 +159,9 @@ class StatsRegistry
 
     /** Registered statistics across all kinds. */
     size_t registeredCount() const;
+
+    /** Shards of live threads (an exited thread's shard is retired). */
+    size_t shardCount() const;
 
     /** Emit a snapshot as one JSON object (counters/gauges/histograms). */
     static void writeSnapshotJson(std::ostream &os,
@@ -237,8 +245,8 @@ class StatsRegistry
         }
     };
 
-    /** Per-thread slot storage; owned by the registry, never freed
-     *  before it so late snapshots see exited workers' updates. */
+    /** Per-thread slot storage; owned by the registry until its
+     *  thread exits and retire() folds it into retired_. */
     struct Shard
     {
         ChunkedSlots<std::atomic<uint64_t>> counters;
@@ -249,6 +257,18 @@ class StatsRegistry
 
     /** This thread's shard, created and registered on first use. */
     Shard &localShard();
+
+    /** Fold an exiting thread's shard into retired_ and free it. */
+    void retire(Shard *shard);
+
+    /** Totals of the shards of exited threads, by slot index. */
+    struct Retired
+    {
+        std::vector<uint64_t> counters;
+        /** Gauge (stamp, value bits) of the latest retired write. */
+        std::vector<std::pair<uint64_t, uint64_t>> gauges;
+        std::vector<HistogramData> histograms;
+    };
 
     StatId registerStat(const std::string &path, StatKind kind);
 
@@ -265,6 +285,7 @@ class StatsRegistry
     std::unordered_map<std::string, size_t> defsByPath_;
     std::array<uint32_t, 3> nextIndex_{};
     std::vector<std::unique_ptr<Shard>> shards_;
+    Retired retired_;
 
     /** Global gauge write ordering. */
     std::atomic<uint64_t> gaugeStamp_{0};

@@ -6,6 +6,7 @@
 #include "stream/synthetic.hh"
 
 #include <cmath>
+#include <vector>
 
 namespace tdp {
 namespace stream {
@@ -79,12 +80,49 @@ trainingTrace(int samples)
     return trace;
 }
 
+namespace {
+
+/** Call fn on every model of @p est: each rail's primary, then its rungs. */
+template <typename Fn>
+void
+forEachModel(SystemPowerEstimator &est, Fn &&fn)
+{
+    for (int r = 0; r < numRails; ++r) {
+        const Rail rail = static_cast<Rail>(r);
+        fn(est.model(rail));
+        for (const auto &rung : est.fallbacks(rail))
+            fn(*rung);
+    }
+}
+
+} // namespace
+
 SystemPowerEstimator
 trainedEstimator()
 {
+    // Training is deterministic, so it runs once per process (and its
+    // rank-deficient quadratic fits log once); every call installs the
+    // fitted coefficients, bit for bit, into a fresh model set. An
+    // untrained model keeps an empty list and stays untrained.
+    static const std::vector<std::vector<double>> fitted = [] {
+        SystemPowerEstimator est =
+            SystemPowerEstimator::makeDegradableModelSet();
+        est.trainAll(trainingTrace());
+        std::vector<std::vector<double>> coeffs;
+        forEachModel(est, [&](const SubsystemModel &m) {
+            coeffs.push_back(m.trained() ? m.coefficients()
+                                         : std::vector<double>{});
+        });
+        return coeffs;
+    }();
     SystemPowerEstimator est =
         SystemPowerEstimator::makeDegradableModelSet();
-    est.trainAll(trainingTrace());
+    size_t k = 0;
+    forEachModel(est, [&](SubsystemModel &m) {
+        if (!fitted[k].empty())
+            m.setCoefficients(fitted[k]);
+        ++k;
+    });
     return est;
 }
 

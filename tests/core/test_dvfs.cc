@@ -99,10 +99,15 @@ TEST(DvfsAwareCpuModel, TracksSimulatedDvfsEndToEnd)
     CpuPowerModel fixed;
     fixed.setCoefficients({4.0 * 9.25, 26.45, 4.31});
 
+    // The trace path scales each column entry as estimate() does.
+    const std::vector<double> column = model.estimateTrace(throttled);
+    ASSERT_EQ(column.size(), throttled.size());
     double err_dvfs = 0.0, err_fixed = 0.0;
-    for (const AlignedSample &s : throttled.rows()) {
+    for (size_t i = 0; i < throttled.size(); ++i) {
+        const AlignedSample s = throttled.row(i);
         const EventVector ev = EventVector::fromSample(s);
         const double meas = s.measured(Rail::Cpu);
+        EXPECT_EQ(column[i], model.estimate(ev)) << i;
         err_dvfs += std::abs(model.estimate(ev) - meas) / meas;
         err_fixed += std::abs(fixed.estimate(ev) - meas) / meas;
     }

@@ -67,12 +67,14 @@ TEST(SystemPowerEstimator, EstimateTraceShapes)
         pt.uopsPerCycle = u;
         return makeSyntheticSample(pt, {}, 4, i);
     });
-    const auto breakdowns = est.estimateTrace(trace);
-    ASSERT_EQ(breakdowns.size(), 10u);
+    const auto columns = est.estimateTrace(trace);
+    for (const std::vector<double> &column : columns)
+        ASSERT_EQ(column.size(), 10u);
     const auto cpu_col = est.modeledColumn(trace, Rail::Cpu);
     ASSERT_EQ(cpu_col.size(), 10u);
     for (size_t i = 0; i < 10; ++i)
-        EXPECT_DOUBLE_EQ(cpu_col[i], breakdowns[i].rail(Rail::Cpu));
+        EXPECT_DOUBLE_EQ(cpu_col[i],
+                         columns[static_cast<size_t>(Rail::Cpu)][i]);
     // CPU estimate grows with the uops sweep.
     EXPECT_GT(cpu_col.back(), cpu_col.front());
 }

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/logging.hh"
 #include "core/events.hh"
 
@@ -82,16 +84,83 @@ TEST(EventVector, TraceConversion)
     });
     const TraceRates rates(trace);
     ASSERT_EQ(rates.size(), 5u);
-    EXPECT_NEAR(rates.total(4, &CpuEventRates::uopsPerCycle), 2.0, 1e-12);
+    ASSERT_EQ(rates.derived(), 5u);
+    EXPECT_NEAR(rates.totals(&CpuEventRates::uopsPerCycle)[4], 2.0, 1e-12);
     for (size_t i = 0; i < trace.size(); ++i) {
         const EventVector ev = EventVector::fromSample(trace.row(i));
         for (auto field : {&CpuEventRates::uopsPerCycle,
                            &CpuEventRates::busTxPerMcycle}) {
-            EXPECT_EQ(rates.total(i, field), ev.total(field));
-            EXPECT_EQ(rates.total(i, field, true),
+            EXPECT_EQ(rates.totals(field)[i], ev.total(field));
+            EXPECT_EQ(rates.totals(field, true)[i],
                       ev.totalSquared(field));
         }
     }
+}
+
+TEST(EventVector, TraceRatesMatchEveryFieldAndMask)
+{
+    // Every field's totals and every sample's non-finite mask equal
+    // the event vector's, on a clean trace (the all-finite shortcut)
+    // and with NaN-masked events and an overflowing rate.
+    const auto sample = [](double u, int i) {
+        SyntheticPoint pt;
+        pt.uopsPerCycle = u;
+        pt.dmaPerCycle = 1e-4 * i;
+        pt.diskIrqPerSecond = 100.0 * i;
+        AlignedSample s = makeSyntheticSample(pt, {}, 3, i);
+        s.perCpu[1][PerfEvent::FetchedUops] += i;
+        return s;
+    };
+    const SampleTrace clean = sweepTrace(6, sample);
+    const SampleTrace faulty = sweepTrace(6, [&](double u, int i) {
+        AlignedSample s = sample(u, i);
+        if (i == 1)
+            s.perCpu[2][PerfEvent::TlbMisses] = std::nan("");
+        if (i == 3) {
+            s.perCpu[0][PerfEvent::Cycles] = 1e-3;
+            s.perCpu[0][PerfEvent::PrefetchTransactions] = 1e306;
+        }
+        if (i == 4)
+            s.osDeviceInterrupts = std::nan("");
+        return s;
+    });
+    const std::vector<double CpuEventRates::*> fields = {
+        &CpuEventRates::cycles,
+        &CpuEventRates::percentActive,
+        &CpuEventRates::uopsPerCycle,
+        &CpuEventRates::l3MissesPerCycle,
+        &CpuEventRates::tlbMissesPerCycle,
+        &CpuEventRates::busTxPerMcycle,
+        &CpuEventRates::dmaPerCycle,
+        &CpuEventRates::uncacheablePerCycle,
+        &CpuEventRates::interruptsPerCycle,
+        &CpuEventRates::prefetchPerMcycle,
+        &CpuEventRates::diskInterruptsPerCycle,
+        &CpuEventRates::deviceInterruptsPerCycle};
+    uint32_t seen = 0;
+    for (const SampleTrace *trace : {&clean, &faulty}) {
+        const TraceRates rates(*trace);
+        for (size_t i = 0; i < trace->size(); ++i) {
+            const EventVector ev = EventVector::fromSample(trace->row(i));
+            for (auto field : fields) {
+                const double want = ev.total(field);
+                const double got = rates.totals(field)[i];
+                EXPECT_TRUE(got == want ||
+                            (std::isnan(got) && std::isnan(want)))
+                    << "sample " << i << ": " << got << " vs " << want;
+                const double want_sq = ev.totalSquared(field);
+                const double got_sq = rates.totals(field, true)[i];
+                EXPECT_TRUE(got_sq == want_sq ||
+                            (std::isnan(got_sq) && std::isnan(want_sq)));
+            }
+            EXPECT_EQ(rates.nonFiniteMask(i), ev.nonFiniteMask())
+                << "sample " << i;
+            seen |= ev.nonFiniteMask();
+        }
+    }
+    EXPECT_EQ(rateFieldNames(seen),
+              "tlbMissesPerCycle, prefetchPerMcycle, "
+              "deviceInterruptsPerCycle");
 }
 
 TEST(EventVector, TraceRatesFailAtTheZeroCycleSample)
@@ -106,9 +175,10 @@ TEST(EventVector, TraceRatesFailAtTheZeroCycleSample)
         trace.add(s);
     }
     const TraceRates rates(trace);
-    EXPECT_GT(rates.total(1, &CpuEventRates::percentActive), 0.0);
+    ASSERT_EQ(rates.derived(), 2u);
+    EXPECT_GT(rates.totals(&CpuEventRates::percentActive)[1], 0.0);
     try {
-        rates.total(2, &CpuEventRates::percentActive);
+        rates.requireDerived();
         FAIL() << "sample 2 has a CPU with no cycles";
     } catch (const FatalError &e) {
         EXPECT_NE(std::string(e.what()).find("zero cycles on cpu 1"),

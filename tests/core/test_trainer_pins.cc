@@ -89,7 +89,7 @@ trainAndPin(SystemPowerEstimator estimator, const SampleTrace &trace)
         trainer.setTrainingTrace(static_cast<Rail>(r), trace);
     trainer.train(estimator);
 
-    const std::vector<PowerBreakdown> estimates =
+    const std::array<std::vector<double>, numRails> estimates =
         estimator.estimateTrace(trace);
     Pinned pinned;
     for (int r = 0; r < numRails; ++r) {
@@ -103,7 +103,7 @@ trainAndPin(SystemPowerEstimator estimator, const SampleTrace &trace)
         size_t n = 0;
         for (size_t i = 0; i < measured.size(); ++i) {
             if (std::isfinite(measured[i]) &&
-                std::isfinite(estimates[i].rail(rail))) {
+                std::isfinite(estimates[static_cast<size_t>(r)][i])) {
                 sum += measured[i];
                 ++n;
             }
@@ -112,7 +112,7 @@ trainAndPin(SystemPowerEstimator estimator, const SampleTrace &trace)
         double ss_res = 0.0;
         double ss_tot = 0.0;
         for (size_t i = 0; i < measured.size(); ++i) {
-            const double e = estimates[i].rail(rail);
+            const double e = estimates[static_cast<size_t>(r)][i];
             if (!std::isfinite(measured[i]) || !std::isfinite(e))
                 continue;
             ss_res += (measured[i] - e) * (measured[i] - e);

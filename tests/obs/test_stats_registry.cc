@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <future>
+#include <memory>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -154,6 +156,65 @@ TEST(StatsRegistry, ShardMergeAcrossThreads)
               uint64_t(threads) * perThread);
     EXPECT_EQ(snap.histograms.at("mt.hist").count,
               uint64_t(threads) * perThread);
+}
+
+TEST(StatsRegistry, ExitedThreadsRetireTheirShards)
+{
+    StatsRegistry reg;
+    reg.setEnabled(true);
+    const StatId counter = reg.counter("retire.count");
+    const StatId gauge = reg.gauge("retire.gauge");
+    const StatId hist = reg.histogram("retire.hist");
+
+    // Short-lived threads one after another, as a pool that starts
+    // its threads per call makes them: each exit folds its shard
+    // into the totals and frees it.
+    constexpr int threads = 64;
+    for (int t = 0; t < threads; ++t) {
+        std::thread([&reg, counter, gauge, hist, t] {
+            reg.add(counter, 3);
+            reg.set(gauge, static_cast<double>(t));
+            reg.observe(hist, static_cast<uint64_t>(t));
+        }).join();
+        ASSERT_EQ(reg.shardCount(), 0u) << "thread " << t;
+    }
+    reg.add(counter);
+    EXPECT_EQ(reg.shardCount(), 1u);
+
+    const StatsRegistry::Snapshot snap = reg.snapshot();
+    EXPECT_EQ(snap.counters.at("retire.count"), 3u * threads + 1);
+    EXPECT_EQ(snap.gauges.at("retire.gauge"), threads - 1.0);
+    const StatsRegistry::HistogramData &h =
+        snap.histograms.at("retire.hist");
+    EXPECT_EQ(h.count, uint64_t(threads));
+    EXPECT_EQ(h.sum, uint64_t(threads) * (threads - 1) / 2);
+    EXPECT_EQ(h.buckets[0], 1u);                 // the value 0
+    EXPECT_EQ(h.buckets[histogramBucketOf(63)], 32u); // [32, 63]
+
+    // The retired totals reset with the live shards.
+    reg.reset();
+    EXPECT_EQ(reg.snapshot().counters.at("retire.count"), 0u);
+}
+
+TEST(StatsRegistry, RegistryMayDieBeforeItsThreads)
+{
+    // A thread that outlives a registry it updated exits cleanly:
+    // the registry freed the shard, and the exit finds no registry.
+    auto reg = std::make_unique<StatsRegistry>();
+    reg->setEnabled(true);
+    const StatId counter = reg->counter("short.count");
+    std::promise<void> added;
+    std::promise<void> release;
+    std::thread worker([&] {
+        reg->add(counter);
+        added.set_value();
+        release.get_future().wait();
+    });
+    added.get_future().wait();
+    EXPECT_EQ(reg->snapshot().counters.at("short.count"), 1u);
+    reg.reset();
+    release.set_value();
+    worker.join();
 }
 
 TEST(StatsRegistry, SnapshotJsonIsStructured)

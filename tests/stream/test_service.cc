@@ -8,6 +8,8 @@
  */
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 #include <sstream>
 #include <string>
 
@@ -61,6 +63,59 @@ double
 loadAt(int round, int client)
 {
     return loadAt(round) * (0.60 + 0.05 * client);
+}
+
+uint64_t
+bitsOf(double value)
+{
+    uint64_t bits;
+    std::memcpy(&bits, &value, sizeof(bits));
+    return bits;
+}
+
+/** Every model of @p est: each rail's primary, then its rungs. */
+std::vector<const SubsystemModel *>
+modelsOf(const SystemPowerEstimator &est)
+{
+    std::vector<const SubsystemModel *> out;
+    for (int r = 0; r < numRails; ++r) {
+        out.push_back(&est.model(static_cast<Rail>(r)));
+        for (const auto &rung : est.fallbacks(static_cast<Rail>(r)))
+            out.push_back(rung.get());
+    }
+    return out;
+}
+
+TEST(SyntheticFleet, TrainedEstimatorCopiesOneFit)
+{
+    // Training runs once per process: a later call logs nothing and
+    // returns a fresh model set whose every rung equals a new fit
+    // bit for bit, with empty health.
+    trainedEstimator();
+    testing::internal::CaptureStderr();
+    const SystemPowerEstimator copy = trainedEstimator();
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+
+    SystemPowerEstimator fresh =
+        SystemPowerEstimator::makeDegradableModelSet();
+    fresh.trainAll(testutil::trainingTrace());
+    const auto got = modelsOf(copy);
+    const auto want = modelsOf(fresh);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t m = 0; m < got.size(); ++m) {
+        SCOPED_TRACE(want[m]->name());
+        EXPECT_EQ(got[m]->name(), want[m]->name());
+        ASSERT_EQ(got[m]->trained(), want[m]->trained());
+        if (!want[m]->trained())
+            continue;
+        const std::vector<double> a = got[m]->coefficients();
+        const std::vector<double> b = want[m]->coefficients();
+        ASSERT_EQ(a.size(), b.size());
+        for (size_t c = 0; c < a.size(); ++c)
+            EXPECT_EQ(bitsOf(a[c]), bitsOf(b[c])) << c;
+    }
+    for (const RailHealth &rail : copy.health().rails)
+        EXPECT_EQ(rail.estimates, 0u);
 }
 
 TEST(StreamService, SteadyStateAcceptsEstimatesAndRefits)
