@@ -20,11 +20,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <limits>
 #include <string>
 
 #include "common/bench_util.hh"
@@ -44,25 +42,6 @@ secondsSince(Clock::time_point start)
     return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/**
- * Positional argument @p name parsed whole as a positive number (an
- * integer when @p integer is set); a usage error on anything else.
- */
-double
-positiveArg(const char *name, const std::string &text, bool integer)
-{
-    char *end = nullptr;
-    const double value = std::strtod(text.c_str(), &end);
-    if (text.empty() || *end != '\0' || !std::isfinite(value) ||
-        value <= 0.0 ||
-        (integer && (value != std::floor(value) ||
-                     value > std::numeric_limits<int>::max())))
-        tdp::bench::usageError(tdp::formatString(
-            "%s expects a positive %s, got '%s'", name,
-            integer ? "integer" : "number", text.c_str()));
-    return value;
-}
-
 } // namespace
 
 int
@@ -78,10 +57,13 @@ main(int argc, char **argv)
     spec.workload = args.size() > 0 ? args[0] : "gcc";
     spec.instances =
         args.size() > 1
-            ? static_cast<int>(positiveArg("instances", args[1], true))
+            ? static_cast<int>(numberArg("instances", args[1],
+                                         ArgKind::PositiveInteger))
             : 4;
     spec.duration =
-        args.size() > 2 ? positiveArg("seconds", args[2], false) : 60.0;
+        args.size() > 2
+            ? numberArg("seconds", args[2], ArgKind::PositiveNumber)
+            : 60.0;
     spec.skip = 10.0;
     if (spec.workload == "idle")
         spec.instances = 0;

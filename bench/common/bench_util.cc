@@ -5,11 +5,13 @@
 
 #include "bench_util.hh"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <iostream>
+#include <limits>
 #include <memory>
 
 #include "common/atomic_file.hh"
@@ -305,6 +307,32 @@ parsePositiveValue(const char *flag, const char *text)
                                 "'%s'",
                                 flag, text));
     return parsed;
+}
+
+double
+numberArg(const char *name, const std::string &text, ArgKind kind,
+          const char *synopsis)
+{
+    char *end = nullptr;
+    const double value = std::strtod(text.c_str(), &end);
+    bool ok = !text.empty() && *end == '\0' && std::isfinite(value);
+    const char *what = "a non-negative number";
+    if (kind == ArgKind::NonNegativeNumber) {
+        ok = ok && value >= 0.0;
+    } else {
+        ok = ok && value > 0.0;
+        what = "a positive number";
+    }
+    if (kind == ArgKind::PositiveInteger) {
+        ok = ok && value == std::floor(value) &&
+             value <= std::numeric_limits<int>::max();
+        what = "a positive integer";
+    }
+    if (!ok)
+        usageError(formatString("%s expects %s, got '%s'", name, what,
+                                text.c_str()),
+                   synopsis);
+    return value;
 }
 
 void

@@ -101,6 +101,22 @@ std::vector<std::string> positionalArgs(int argc, char **argv);
  */
 int parsePositiveValue(const char *flag, const char *text);
 
+/** What a numeric positional argument may hold. */
+enum class ArgKind
+{
+    PositiveInteger,
+    PositiveNumber,
+    NonNegativeNumber,
+};
+
+/**
+ * Positional argument @p name parsed whole (strtod, finite) as
+ * @p kind; a usage error, followed by @p synopsis when given, on
+ * anything else.
+ */
+double numberArg(const char *name, const std::string &text,
+                 ArgKind kind, const char *synopsis = nullptr);
+
 /** How a workload is launched for an experiment. */
 struct RunSpec
 {

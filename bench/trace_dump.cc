@@ -11,7 +11,10 @@
  *
  * Defaults: gcc 8 120 0 0x5eed2007, CSV. Output goes to stdout;
  * progress to stderr. `--help` prints the usage and exits 0; an
- * unknown option or workload is a usage error (exit 2).
+ * unknown option or workload, or a positional number that does not
+ * parse whole (instances: a positive integer; seconds: a positive
+ * number; stagger: a non-negative number; seed: an unsigned integer),
+ * is a usage error (exit 2).
  *
  * Formats:
  *  - csv: the historical lossy export (rounded values, counters
@@ -32,6 +35,7 @@
  */
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -90,19 +94,47 @@ parseFormatIsBinary(const std::string &value)
     return false;
 }
 
-/** Build the recording spec from the positional arguments. */
+/** An unsigned integer (any strtoull base prefix), parsed whole. */
+uint64_t
+seedArg(const std::string &text)
+{
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long value =
+        std::strtoull(text.c_str(), &end, 0);
+    if (text.empty() || text[0] == '-' || *end != '\0' || errno != 0)
+        bench::usageError("seed expects an unsigned integer, got '" +
+                              text + "'",
+                          synopsis);
+    return value;
+}
+
+/**
+ * Build the recording spec from the positional arguments, each parsed
+ * whole; a usage error on anything else.
+ */
 bench::RunSpec
 specFromArgs(const std::vector<std::string> &args)
 {
+    using bench::ArgKind;
+    using bench::numberArg;
     bench::RunSpec spec;
     spec.workload = args.size() > 0 ? args[0] : "gcc";
-    spec.instances = args.size() > 1 ? std::atoi(args[1].c_str()) : 8;
-    spec.duration =
-        args.size() > 2 ? std::atof(args[2].c_str()) : 120.0;
-    spec.stagger = args.size() > 3 ? std::atof(args[3].c_str()) : 0.0;
-    spec.seed = args.size() > 4
-                    ? std::strtoull(args[4].c_str(), nullptr, 0)
-                    : bench::defaultSeed;
+    spec.instances =
+        args.size() > 1
+            ? static_cast<int>(numberArg("instances", args[1],
+                                         ArgKind::PositiveInteger,
+                                         synopsis))
+            : 8;
+    spec.duration = args.size() > 2
+                        ? numberArg("seconds", args[2],
+                                    ArgKind::PositiveNumber, synopsis)
+                        : 120.0;
+    spec.stagger = args.size() > 3
+                       ? numberArg("stagger", args[3],
+                                   ArgKind::NonNegativeNumber, synopsis)
+                       : 0.0;
+    spec.seed = args.size() > 4 ? seedArg(args[4]) : bench::defaultSeed;
     spec.skip = 0.0;
     if (spec.workload == "idle")
         spec.instances = 0;

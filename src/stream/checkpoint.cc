@@ -9,10 +9,16 @@
 
 #include "stream/checkpoint.hh"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
+#include <optional>
+#include <string_view>
 #include <vector>
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include "common/atomic_file.hh"
 #include "common/hash.hh"
@@ -27,6 +33,15 @@ namespace {
 
 constexpr char kMagic[4] = {'T', 'D', 'P', 'C'};
 
+/** magic, version, fingerprint, generation, tick, digest, count. */
+constexpr size_t kHeaderBytes = 4 + 4 + 4 * 8 + 4;
+
+/** A section's id and length, ahead of its payload. */
+constexpr size_t kSectionHeadBytes = 4 + 8;
+
+/** A section's framing: id, length and the trailing checksum. */
+constexpr size_t kSectionFrameBytes = kSectionHeadBytes + 8;
+
 /** Fixed header preceding the section table. */
 struct Header
 {
@@ -38,22 +53,35 @@ struct Header
     uint32_t sectionCount = 0;
 };
 
-/** One parsed, CRC-verified checkpoint file held in memory. */
+/**
+ * One parsed, checksum-verified checkpoint file held in memory: the
+ * file bytes plus where each section's payload lies in them.
+ */
 struct Parsed
 {
+    struct Section
+    {
+        uint32_t id = 0;
+        size_t offset = 0;
+        size_t length = 0;
+    };
+
     Header header;
-    std::vector<std::pair<uint32_t, std::string>> sections;
-    uint64_t fileCrc = 0;
+    std::string bytes;
+    std::vector<Section> sections;
+    uint64_t fileChecksum = 0;
     std::string path;
 
-    const std::string *
+    /** Payload of section @p id, viewed in place; nullopt if absent. */
+    std::optional<std::string_view>
     section(uint32_t id) const
     {
-        for (const auto &entry : sections) {
-            if (entry.first == id)
-                return &entry.second;
+        for (const Section &entry : sections) {
+            if (entry.id == id)
+                return std::string_view(bytes).substr(entry.offset,
+                                                      entry.length);
         }
-        return nullptr;
+        return std::nullopt;
     }
 };
 
@@ -64,12 +92,10 @@ saveSample(CheckpointWriter &w, const StreamSample &sample)
     w.u64(sample.seq);
     w.f64(sample.time);
     w.f64(sample.interval);
-    for (int e = 0; e < numPerfEvents; ++e)
-        w.f64(sample.raw.counts[static_cast<size_t>(e)]);
+    w.bytes(sample.raw.counts.data(), sizeof sample.raw.counts);
     w.f64(sample.osDiskInterrupts);
     w.f64(sample.osDeviceInterrupts);
-    for (int r = 0; r < numRails; ++r)
-        w.f64(sample.measuredWatts[static_cast<size_t>(r)]);
+    w.bytes(sample.measuredWatts.data(), sizeof sample.measuredWatts);
     w.u32(static_cast<uint32_t>(sample.cpus));
     w.u64(sample.enqueueTick);
 }
@@ -81,75 +107,146 @@ restoreSample(CheckpointReader &r, StreamSample &sample)
     sample.seq = r.u64();
     sample.time = r.f64();
     sample.interval = r.f64();
-    for (int e = 0; e < numPerfEvents; ++e)
-        sample.raw.counts[static_cast<size_t>(e)] = r.f64();
+    r.bytes(sample.raw.counts.data(), sizeof sample.raw.counts);
     sample.osDiskInterrupts = r.f64();
     sample.osDeviceInterrupts = r.f64();
-    for (int rail = 0; rail < numRails; ++rail)
-        sample.measuredWatts[static_cast<size_t>(rail)] = r.f64();
+    r.bytes(sample.measuredWatts.data(), sizeof sample.measuredWatts);
     sample.cpus = static_cast<int>(r.u32());
     sample.enqueueTick = r.u64();
 }
 
-void
-appendSection(std::string &file, uint32_t id, const std::string &payload)
+/**
+ * Emit the whole checkpoint file through @p w. When @p file is the
+ * buffer behind @p w, each section's length is patched in place once
+ * its payload is written and its checksum is chained from the one
+ * before (the header's, for the first); the return value is the last
+ * link, the file checksum. With @p file null the pass only sizes the
+ * file and returns 0.
+ */
+uint64_t
+emitCheckpoint(const StreamService &service, uint64_t generation,
+               const std::string &meta, CheckpointWriter &w,
+               std::string *file)
 {
-    const uint64_t length = payload.size();
-    const uint64_t crc = fnv1a64(payload.data(), payload.size());
-    file.append(reinterpret_cast<const char *>(&id), sizeof id);
-    file.append(reinterpret_cast<const char *>(&length), sizeof length);
-    file.append(payload);
-    file.append(reinterpret_cast<const char *>(&crc), sizeof crc);
+    const size_t shards =
+        static_cast<size_t>(service.config().ingest.shards);
+    w.bytes(kMagic, sizeof kMagic);
+    w.u32(kCheckpointVersion);
+    w.u64(service.checkpointFingerprint());
+    w.u64(generation);
+    w.u64(service.now());
+    w.u64(service.digest());
+    w.u32(static_cast<uint32_t>(3 + shards));
+    uint64_t chain =
+        file != nullptr ? checksum64(file->data(), kHeaderBytes) : 0;
+
+    auto section = [&](uint32_t id, auto &&encode) {
+        const size_t start = w.size();
+        w.u32(id);
+        w.u64(0); // length, patched once the payload is written
+        encode();
+        if (file != nullptr) {
+            const uint64_t length = w.size() - start - kSectionHeadBytes;
+            std::memcpy(file->data() + start + sizeof id, &length,
+                        sizeof length);
+            chain = checksum64(file->data() + start, w.size() - start,
+                               chain);
+        }
+        w.u64(chain);
+    };
+
+    section(kSecIngest, [&] { service.checkpointSaveIngest(w); });
+    // Deterministic shard order: shard s is always section
+    // kSecShardBase + s, whatever --jobs produced the state.
+    for (size_t s = 0; s < shards; ++s) {
+        section(kSecShardBase + static_cast<uint32_t>(s),
+                [&] { service.checkpointSaveShard(s, w); });
+    }
+    section(kSecService, [&] { service.checkpointSaveService(w); });
+    section(kSecMeta, [&] { w.bytes(meta.data(), meta.size()); });
+    return file != nullptr ? chain : 0;
+}
+
+/**
+ * Read a whole regular file with one read of its size. False with a
+ * one-line reason; never fatals.
+ */
+bool
+readWholeFile(const std::string &path, std::string &bytes,
+              std::string &why)
+{
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) {
+        why = "cannot open";
+        return false;
+    }
+    struct stat st;
+    bool ok = ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode);
+    if (!ok) {
+        why = "not a regular file";
+    } else {
+        bytes.resize(static_cast<size_t>(st.st_size));
+        size_t done = 0;
+        while (ok && done < bytes.size()) {
+            const ssize_t got =
+                ::read(fd, bytes.data() + done, bytes.size() - done);
+            if (got < 0 && errno == EINTR)
+                continue;
+            ok = got > 0;
+            done += ok ? static_cast<size_t>(got) : 0;
+        }
+        if (!ok)
+            why = "read failed";
+    }
+    ::close(fd);
+    return ok;
 }
 
 /**
  * Read and validate one checkpoint file end to end (magic, version,
- * bounds, per-section CRC). Returns false with a one-line reason;
- * never fatals - a torn file is an expected input here.
+ * bounds, the checksum chain). Every length and count is checked
+ * against the bytes that remain, overflow-safe, before it is used.
+ * Returns false with a one-line reason; never fatals - a torn file
+ * is an expected input here.
  */
 bool
 parseCheckpointFile(const std::string &path, Parsed &out,
                     std::string &why)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        why = "cannot open";
+    std::string &bytes = out.bytes;
+    if (!readWholeFile(path, bytes, why))
         return false;
-    }
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    if (!in.good() && !in.eof()) {
-        why = "read failed";
-        return false;
-    }
 
     size_t pos = 0;
-    auto need = [&](size_t n) { return bytes.size() - pos >= n; };
+    auto remaining = [&] { return bytes.size() - pos; };
     auto take = [&](void *dst, size_t n) {
         std::memcpy(dst, bytes.data() + pos, n);
         pos += n;
     };
 
-    char magic[4];
-    if (!need(sizeof magic)) {
+    if (remaining() < sizeof kMagic) {
         why = "truncated before magic";
         return false;
     }
-    take(magic, sizeof magic);
-    if (std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
+    if (std::memcmp(bytes.data(), kMagic, sizeof kMagic) != 0) {
         why = "bad magic (not a TDPC checkpoint)";
         return false;
     }
+    pos += sizeof kMagic;
 
     Header &h = out.header;
-    if (!need(sizeof h.version + 4 * sizeof(uint64_t) +
-              sizeof h.sectionCount)) {
+    if (remaining() < sizeof h.version) {
         why = "truncated header";
         return false;
     }
     take(&h.version, sizeof h.version);
     if (h.version != kCheckpointVersion) {
-        why = "unsupported version " + std::to_string(h.version);
+        why = "unsupported version " + std::to_string(h.version) +
+              ", expected " + std::to_string(kCheckpointVersion);
+        return false;
+    }
+    if (bytes.size() < kHeaderBytes) {
+        why = "truncated header";
         return false;
     }
     take(&h.fingerprint, sizeof h.fingerprint);
@@ -157,39 +254,50 @@ parseCheckpointFile(const std::string &path, Parsed &out,
     take(&h.tick, sizeof h.tick);
     take(&h.digest, sizeof h.digest);
     take(&h.sectionCount, sizeof h.sectionCount);
+    if (h.sectionCount > remaining() / kSectionFrameBytes) {
+        why = "section count " + std::to_string(h.sectionCount) +
+              " cannot fit the file";
+        return false;
+    }
 
+    uint64_t chain = checksum64(bytes.data(), kHeaderBytes);
     out.sections.clear();
     out.sections.reserve(h.sectionCount);
     for (uint32_t s = 0; s < h.sectionCount; ++s) {
+        const size_t start = pos;
         uint32_t id;
         uint64_t length;
-        if (!need(sizeof id + sizeof length)) {
+        if (remaining() < kSectionHeadBytes) {
             why = "truncated section header";
             return false;
         }
         take(&id, sizeof id);
         take(&length, sizeof length);
-        if (!need(length + sizeof(uint64_t))) {
+        // The trailing checksum must fit after the payload too:
+        // compare against what remains, never add to length.
+        if (remaining() < sizeof(uint64_t) ||
+            length > remaining() - sizeof(uint64_t)) {
             why = "truncated section " + std::to_string(id);
             return false;
         }
-        std::string payload(bytes.data() + pos,
-                            static_cast<size_t>(length));
+        const size_t offset = pos;
         pos += static_cast<size_t>(length);
-        uint64_t storedCrc;
-        take(&storedCrc, sizeof storedCrc);
-        if (fnv1a64(payload.data(), payload.size()) != storedCrc) {
-            why = "CRC mismatch in section " + std::to_string(id);
+        uint64_t stored;
+        take(&stored, sizeof stored);
+        if (checksum64(bytes.data() + start, offset + length - start,
+                       chain) != stored) {
+            why = "checksum mismatch in section " + std::to_string(id);
             return false;
         }
-        out.sections.emplace_back(id, std::move(payload));
+        chain = stored;
+        out.sections.push_back({id, offset, static_cast<size_t>(length)});
     }
     if (pos != bytes.size()) {
         why = "trailing bytes after last section";
         return false;
     }
 
-    out.fileCrc = fnv1a64(bytes.data(), bytes.size());
+    out.fileChecksum = chain;
     out.path = path;
     return true;
 }
@@ -198,8 +306,8 @@ parseCheckpointFile(const std::string &path, Parsed &out,
 bool
 fileExists(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    return static_cast<bool>(in);
+    struct stat st;
+    return ::stat(path.c_str(), &st) == 0;
 }
 
 } // namespace
@@ -216,45 +324,15 @@ writeStreamCheckpoint(const StreamService &service,
                       const std::string &meta, CheckpointInfo *info,
                       std::string *error)
 {
+    // Size the file with a counting pass, then serialise it into one
+    // buffer of that size.
+    CheckpointWriter sizer;
+    emitCheckpoint(service, generation, meta, sizer, nullptr);
     std::string file;
-    file.append(kMagic, sizeof kMagic);
-    const uint32_t version = kCheckpointVersion;
-    const uint64_t fingerprint = service.checkpointFingerprint();
-    const uint64_t tick = service.now();
-    const uint64_t digest = service.digest();
-    const size_t shards =
-        static_cast<size_t>(service.config().ingest.shards);
-    const uint32_t sectionCount = static_cast<uint32_t>(3 + shards);
-    file.append(reinterpret_cast<const char *>(&version),
-                sizeof version);
-    file.append(reinterpret_cast<const char *>(&fingerprint),
-                sizeof fingerprint);
-    file.append(reinterpret_cast<const char *>(&generation),
-                sizeof generation);
-    file.append(reinterpret_cast<const char *>(&tick), sizeof tick);
-    file.append(reinterpret_cast<const char *>(&digest), sizeof digest);
-    file.append(reinterpret_cast<const char *>(&sectionCount),
-                sizeof sectionCount);
-
-    {
-        CheckpointWriter w;
-        service.checkpointSaveIngest(w);
-        appendSection(file, kSecIngest, w.buffer());
-    }
-    // Deterministic shard order: shard s is always section
-    // kSecShardBase + s, whatever --jobs produced the state.
-    for (size_t s = 0; s < shards; ++s) {
-        CheckpointWriter w;
-        service.checkpointSaveShard(s, w);
-        appendSection(file, kSecShardBase + static_cast<uint32_t>(s),
-                      w.buffer());
-    }
-    {
-        CheckpointWriter w;
-        service.checkpointSaveService(w);
-        appendSection(file, kSecService, w.buffer());
-    }
-    appendSection(file, kSecMeta, meta);
+    file.reserve(sizer.size());
+    CheckpointWriter w(&file);
+    const uint64_t checksum =
+        emitCheckpoint(service, generation, meta, w, &file);
 
     const std::string path = checkpointGenerationPath(base, generation);
     const bool ok = writeFileAtomic(
@@ -267,9 +345,9 @@ writeStreamCheckpoint(const StreamService &service,
         error);
     if (ok && info != nullptr) {
         info->generation = generation;
-        info->tick = tick;
-        info->digest = digest;
-        info->crc = fnv1a64(file.data(), file.size());
+        info->tick = service.now();
+        info->digest = service.digest();
+        info->crc = checksum;
         info->path = path;
     }
     return ok;
@@ -337,8 +415,8 @@ restoreStreamCheckpoint(StreamService &service, const std::string &base)
         static_cast<size_t>(service.config().ingest.shards);
     auto restoreSection = [&](uint32_t id, const char *what,
                               auto &&fn) -> bool {
-        const std::string *payload = chosen.section(id);
-        if (payload == nullptr) {
+        const std::optional<std::string_view> payload = chosen.section(id);
+        if (!payload) {
             res.error = std::string("missing section: ") + what;
             return false;
         }
@@ -380,7 +458,7 @@ restoreStreamCheckpoint(StreamService &service, const std::string &base)
                     "(digest/tick)";
         return res;
     }
-    if (const std::string *meta = chosen.section(kSecMeta))
+    if (const auto meta = chosen.section(kSecMeta))
         res.meta = *meta;
 
     service.checkpointRestoreFinish(chosen.header.generation,
@@ -388,7 +466,7 @@ restoreStreamCheckpoint(StreamService &service, const std::string &base)
     res.info.generation = chosen.header.generation;
     res.info.tick = chosen.header.tick;
     res.info.digest = chosen.header.digest;
-    res.info.crc = chosen.fileCrc;
+    res.info.crc = chosen.fileChecksum;
     res.info.path = chosen.path;
     res.ok = true;
     return res;
@@ -425,9 +503,8 @@ peekStreamCheckpointMeta(const std::string &base, std::string *meta,
                                       : " (" + reasons + ")");
         return false;
     }
-    const std::string *payload = best->section(kSecMeta);
     if (meta != nullptr)
-        *meta = payload != nullptr ? *payload : "";
+        *meta = best->section(kSecMeta).value_or(std::string_view());
     return true;
 }
 
@@ -484,6 +561,8 @@ StreamCheckpointer::writeNow()
 void
 CheckpointReader::bytes(void *out, size_t n)
 {
+    if (n == 0)
+        return;
     if (!ok_ || size_ - pos_ < n) {
         fail("short read");
         std::memset(out, 0, n);

@@ -16,23 +16,34 @@
  * contract: a crash forgets at most `everyTicks` ticks of input,
  * never any state.
  *
- * Format ("TDPC", version 1, native endianness - a checkpoint is a
+ * Format ("TDPC", version 2, native endianness - a checkpoint is a
  * crash-recovery artefact for the machine that wrote it, not an
  * interchange format):
  *
  *   magic[4] version:u32 fingerprint:u64 generation:u64 tick:u64
  *   digest:u64 sectionCount:u32
- *   { id:u32 length:u64 payload[length] crc:u64 } x sectionCount
+ *   { id:u32 length:u64 payload[length] checksum:u64 } x sectionCount
  *
- * Every section carries its own FNV-1a checksum, so a torn write is
- * detected wherever it lands. Publication goes through
+ * The checksums form one XXH64 (checksum64) chain: the header's
+ * checksum seeds the first section's, and each section's checksum
+ * covers its id, length and payload, seeded by the one before. Every
+ * byte of the file is therefore covered, a torn write is detected
+ * wherever it lands, and the last link is the file checksum - no
+ * second pass. The file is serialised into one buffer sized by a
+ * counting pass over the same encoders; a SessionTable section
+ * stores its SoA columns one after another, each written and read
+ * with one bounded copy. Publication goes through
  * writeFileAtomic (temp + fsync + rename + directory fsync) into a
  * two-generation rotation - generation g lands in `<base>.gen<g%2>`
  * - so the previous complete checkpoint always survives the next
- * write. The loader validates both generations and falls back to
- * the older one with a warning when the newest is torn or corrupt;
- * only two unusable generations (or a config-fingerprint mismatch)
- * fail the restore.
+ * write. The loader reads each generation with one bounded read,
+ * validates both in memory (every length and count is checked
+ * against the bytes that remain before anything is allocated) and
+ * falls back to the older one with a warning when the newest is
+ * torn or corrupt; only two unusable generations (or a
+ * config-fingerprint mismatch) fail the restore. Version 1 files
+ * (FNV-1a section checksums, row-wise sessions) are rejected by
+ * their version.
  *
  * The fingerprint hashes every determinism-relevant config field
  * plus the (runtime-immutable) fallback-rung coefficients, so a
@@ -46,6 +57,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 namespace tdp {
 namespace stream {
@@ -53,7 +66,7 @@ namespace stream {
 class StreamService;
 
 /** Checkpoint format version written by this build. */
-constexpr uint32_t kCheckpointVersion = 1;
+constexpr uint32_t kCheckpointVersion = 2;
 
 /** Section ids. @{ */
 constexpr uint32_t kSecIngest = 1;  ///< ShardedIngest counters
@@ -63,28 +76,46 @@ constexpr uint32_t kSecShardBase = 100; ///< + shard: sessions + ring
 /** @} */
 
 /**
- * Append-only little serializer the checkpointed classes write
- * themselves into. Values are stored as raw native bytes; doubles
- * go through their bit pattern so NaNs and -0.0 round-trip exactly.
+ * Serializer the checkpointed classes write themselves into. A writer
+ * made without a buffer only counts bytes: writeStreamCheckpoint runs
+ * every encoder once that way to size the file buffer, then again
+ * into it. Values are stored as raw native bytes; doubles go through
+ * their bit pattern so NaNs and -0.0 round-trip exactly.
  */
 class CheckpointWriter
 {
   public:
-    void u8(uint8_t v) { append(&v, sizeof v); }
-    void u32(uint32_t v) { append(&v, sizeof v); }
-    void u64(uint64_t v) { append(&v, sizeof v); }
-    void f64(double v) { append(&v, sizeof v); }
-    void bytes(const void *p, size_t n) { append(p, n); }
+    /** @param out buffer to append to; nullptr only counts bytes. */
+    explicit CheckpointWriter(std::string *out = nullptr) : out_(out) {}
 
-    const std::string &buffer() const { return buf_; }
+    void u8(uint8_t v) { bytes(&v, sizeof v); }
+    void u32(uint32_t v) { bytes(&v, sizeof v); }
+    void u64(uint64_t v) { bytes(&v, sizeof v); }
+    void f64(double v) { bytes(&v, sizeof v); }
 
-  private:
-    void append(const void *p, size_t n)
+    void
+    bytes(const void *p, size_t n)
     {
-        buf_.append(static_cast<const char *>(p), n);
+        if (out_ != nullptr && n != 0)
+            out_->append(static_cast<const char *>(p), n);
+        size_ += n;
     }
 
-    std::string buf_;
+    /** A whole column (its elements, no count) in one bytes() call. */
+    template <typename T>
+    void
+    column(const std::vector<T> &v)
+    {
+        static_assert(std::is_trivially_copyable_v<T>);
+        bytes(v.data(), v.size() * sizeof(T));
+    }
+
+    /** Bytes written (or counted) so far. */
+    size_t size() const { return size_; }
+
+  private:
+    std::string *out_;
+    size_t size_ = 0;
 };
 
 /**
@@ -120,6 +151,24 @@ class CheckpointReader
 
     void bytes(void *out, size_t n);
 
+    /**
+     * Read @p n elements into @p out (resized to @p n) with one
+     * bounded copy. Fails, leaving @p out untouched and allocating
+     * nothing, when fewer than @p n elements remain.
+     */
+    template <typename T>
+    void
+    column(std::vector<T> &out, size_t n)
+    {
+        static_assert(std::is_trivially_copyable_v<T>);
+        if (n > remaining() / sizeof(T)) {
+            fail("short read");
+            return;
+        }
+        out.resize(n);
+        bytes(out.data(), n * sizeof(T));
+    }
+
     /** Unconsumed payload bytes (0 once failed). */
     size_t remaining() const { return ok_ ? size_ - pos_ : 0; }
 
@@ -150,7 +199,10 @@ struct CheckpointInfo
     /** Service fold digest at that tick. */
     uint64_t digest = 0;
 
-    /** FNV-1a over the complete file bytes. */
+    /**
+     * File checksum: the last link of the checksum64 chain over the
+     * header and every section (see the format above).
+     */
     uint64_t crc = 0;
 
     std::string path;

@@ -395,20 +395,15 @@ WindowedRls::checkpointSave(CheckpointWriter &w) const
     w.u64(blockCount_);
     w.u64(openRows_);
     for (const Partial &partial : partials_) {
-        for (const double v : partial.gram)
-            w.f64(v);
-        for (const double v : partial.sx)
-            w.f64(v);
-        for (const double v : partial.sxy)
-            w.f64(v);
+        w.column(partial.gram);
+        w.column(partial.sx);
+        w.column(partial.sxy);
         w.f64(partial.sy);
         w.f64(partial.syy);
         w.u64(partial.n);
     }
-    for (const double v : rows_)
-        w.f64(v);
-    for (const double v : ys_)
-        w.f64(v);
+    w.column(rows_);
+    w.column(ys_);
 }
 
 bool
@@ -438,21 +433,17 @@ WindowedRls::checkpointRestore(CheckpointReader &r)
         r.fail("refit window cursors out of range");
         return false;
     }
+    // Every column keeps the size the config gave it.
     for (Partial &partial : partials_) {
-        for (double &v : partial.gram)
-            v = r.f64();
-        for (double &v : partial.sx)
-            v = r.f64();
-        for (double &v : partial.sxy)
-            v = r.f64();
+        r.column(partial.gram, partial.gram.size());
+        r.column(partial.sx, partial.sx.size());
+        r.column(partial.sxy, partial.sxy.size());
         partial.sy = r.f64();
         partial.syy = r.f64();
         partial.n = r.u64();
     }
-    for (double &v : rows_)
-        v = r.f64();
-    for (double &v : ys_)
-        v = r.f64();
+    r.column(rows_, rows_.size());
+    r.column(ys_, ys_.size());
     return r.ok();
 }
 

@@ -353,22 +353,18 @@ SessionTable::memoryBytes() const
 void
 SessionTable::checkpointSave(CheckpointWriter &w) const
 {
+    // Column by column, each in one bytes() call.
     w.u64(clients_.size());
-    for (size_t row = 0; row < clients_.size(); ++row) {
-        w.u64(clients_[row]);
-        w.u64(lastSeq_[row]);
-        w.f64(lastTime_[row]);
-        w.u64(lastSeen_[row]);
-        w.u8(quarantined_[row]);
-        w.u8(hasBaseline_[row]);
-        w.u32(invalidCount_[row]);
-        for (int e = 0; e < numPerfEvents; ++e)
-            w.f64(lastRaw_[row * numPerfEvents +
-                           static_cast<size_t>(e)]);
-        for (size_t i = 0; i < config_.wattsWindow; ++i)
-            w.f64(watts_[row * config_.wattsWindow + i]);
-        w.u32(wattsCount_[row]);
-    }
+    w.column(clients_);
+    w.column(lastSeq_);
+    w.column(lastTime_);
+    w.column(lastSeen_);
+    w.column(quarantined_);
+    w.column(hasBaseline_);
+    w.column(invalidCount_);
+    w.column(lastRaw_);
+    w.column(watts_);
+    w.column(wattsCount_);
     w.u64(stats_.created);
     w.u64(stats_.accepted);
     w.u64(stats_.baselines);
@@ -392,37 +388,42 @@ SessionTable::checkpointRestore(CheckpointReader &r)
         r.fail("session restore into a non-empty table");
         return false;
     }
+    // Every column is bounded by the row count, and the row count by
+    // the section bytes that remain, before anything is allocated.
+    const size_t rowBytes =
+        3 * sizeof(uint64_t) + sizeof(double) + 2 * sizeof(uint8_t) +
+        2 * sizeof(uint32_t) +
+        (numPerfEvents + config_.wattsWindow) * sizeof(double);
     const uint64_t rows = r.u64();
     if (!r.ok())
         return false;
+    if (rows > r.remaining() / rowBytes ||
+        rows >= FlatClientIndex::kNoRow) {
+        r.fail("session row count exceeds the section");
+        return false;
+    }
+    const size_t n = static_cast<size_t>(rows);
+    r.column(clients_, n);
+    r.column(lastSeq_, n);
+    r.column(lastTime_, n);
+    r.column(lastSeen_, n);
+    r.column(quarantined_, n);
+    r.column(hasBaseline_, n);
+    r.column(invalidCount_, n);
+    r.column(lastRaw_, n * numPerfEvents);
+    r.column(watts_, n * config_.wattsWindow);
+    r.column(wattsCount_, n);
+    if (!r.ok())
+        return false;
     size_t quarantinedSeen = 0;
-    for (uint64_t row = 0; row < rows; ++row) {
-        const uint64_t client = r.u64();
-        clients_.push_back(client);
-        lastSeq_.push_back(r.u64());
-        lastTime_.push_back(r.f64());
-        lastSeen_.push_back(r.u64());
-        quarantined_.push_back(r.u8());
-        hasBaseline_.push_back(r.u8());
-        invalidCount_.push_back(r.u32());
-        lastRaw_.resize(lastRaw_.size() + numPerfEvents);
-        for (int e = 0; e < numPerfEvents; ++e)
-            lastRaw_[static_cast<size_t>(row) * numPerfEvents +
-                     static_cast<size_t>(e)] = r.f64();
-        watts_.resize(watts_.size() + config_.wattsWindow);
-        for (size_t i = 0; i < config_.wattsWindow; ++i)
-            watts_[static_cast<size_t>(row) * config_.wattsWindow +
-                   i] = r.f64();
-        wattsCount_.push_back(r.u32());
-        if (!r.ok())
-            return false;
-        if (quarantined_.back() != 0)
+    for (size_t row = 0; row < n; ++row) {
+        if (quarantined_[row] != 0)
             ++quarantinedSeen;
-        if (index_.find(client) != FlatClientIndex::kNoRow) {
+        if (index_.find(clients_[row]) != FlatClientIndex::kNoRow) {
             r.fail("duplicate client in session checkpoint");
             return false;
         }
-        index_.insert(client, static_cast<uint32_t>(row));
+        index_.insert(clients_[row], static_cast<uint32_t>(row));
     }
     stats_.created = r.u64();
     stats_.accepted = r.u64();

@@ -5,18 +5,24 @@
  * uninterrupted twin, an all-quarantined fleet, mid-window RLS
  * partials, wraparound-heavy counters, fingerprint rejection, torn
  * and doubly-corrupt generations, injected publish faults (ENOSPC,
- * EXDEV) through the periodic checkpointer, and hostile traffic: a
- * ring backlog past the high watermark and a Degraded CPU rail.
+ * EXDEV) through the periodic checkpointer, hostile traffic (a ring
+ * backlog past the high watermark and a Degraded CPU rail), and the
+ * decoder's answer to damaged files: version 1 headers, inflated
+ * section lengths and a seeded sweep of bit flips and truncations.
  */
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "alloc_hook.hh"
 #include "common/atomic_file.hh"
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "stream/checkpoint.hh"
 #include "stream/service.hh"
@@ -84,6 +90,88 @@ tearFile(const std::string &path)
     out.write(bytes.data(),
               static_cast<std::streamsize>(bytes.size() / 2));
     ASSERT_TRUE(out.good()) << path;
+}
+
+/** The whole file at @p path. */
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.good()) << path;
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+}
+
+/** Replace the file at @p path with @p bytes. */
+void
+writeFile(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    ASSERT_TRUE(out.good()) << path;
+}
+
+/** Overwrite the native-endian value at @p offset of @p bytes. */
+template <typename T>
+void
+poke(std::string &bytes, size_t offset, T value)
+{
+    ASSERT_LE(offset + sizeof value, bytes.size());
+    std::memcpy(bytes.data() + offset, &value, sizeof value);
+}
+
+/** TDPC v2 layout, as the tests walk it. @{ */
+constexpr size_t kHeaderBytes = 44;
+constexpr size_t kSectionCountOffset = 40;
+constexpr size_t kFirstLengthOffset = kHeaderBytes + 4;
+/** @} */
+
+/** Where one section of a checkpoint file lies. */
+struct SectionSpan
+{
+    size_t start = 0;   ///< its id
+    size_t payload = 0; ///< first payload byte
+    size_t length = 0;  ///< payload bytes
+    size_t end = 0;     ///< one past its checksum
+};
+
+/** Walk the sections of an intact checkpoint file. */
+std::vector<SectionSpan>
+sectionsOf(const std::string &bytes)
+{
+    uint32_t count = 0;
+    std::memcpy(&count, bytes.data() + kSectionCountOffset, sizeof count);
+    std::vector<SectionSpan> spans;
+    size_t pos = kHeaderBytes;
+    for (uint32_t s = 0; s < count; ++s) {
+        SectionSpan span;
+        span.start = pos;
+        uint64_t length = 0;
+        std::memcpy(&length, bytes.data() + pos + 4, sizeof length);
+        span.payload = pos + 12;
+        span.length = static_cast<size_t>(length);
+        span.end = span.payload + span.length + 8;
+        spans.push_back(span);
+        pos = span.end;
+    }
+    EXPECT_EQ(pos, bytes.size());
+    return spans;
+}
+
+/**
+ * Recompute the checksum chain of @p bytes (laid out as @p spans), so
+ * a payload edit reaches the section decoders instead of stopping at
+ * the checksum.
+ */
+void
+reseal(std::string &bytes, const std::vector<SectionSpan> &spans)
+{
+    uint64_t chain = checksum64(bytes.data(), kHeaderBytes);
+    for (const SectionSpan &span : spans) {
+        chain = checksum64(bytes.data() + span.start,
+                           span.end - 8 - span.start, chain);
+        std::memcpy(bytes.data() + span.end - 8, &chain, sizeof chain);
+    }
 }
 
 /** Drive @p rounds offer+tick rounds of @p clients valid samples. */
@@ -682,6 +770,261 @@ TEST(StreamCheckpoint, RestoreWithBacklogAndDegradedRailMatchesTwin)
         expectReplayMatchesTwin(cfg, degradedBase, clients, rounds,
                                 drainTicks, twin);
     }
+}
+
+/**
+ * A v1 file is refused by its version, before the fingerprint (which
+ * folds the version, so it would not match either) is looked at.
+ */
+TEST(StreamCheckpoint, Version1FileIsRejected)
+{
+    const std::string base = freshBase("version1");
+    StreamService writer(baseConfig(), trainedEstimator());
+    CheckpointInfo info;
+    std::string error;
+    ASSERT_TRUE(writeStreamCheckpoint(writer, base, 1, "", &info,
+                                      &error))
+        << error;
+    std::string bytes = readFile(info.path);
+    poke<uint32_t>(bytes, 4, 1);
+    writeFile(info.path, bytes);
+
+    StreamService restored(baseConfig(), trainedEstimator());
+    const RestoreResult res = restoreStreamCheckpoint(restored, base);
+    EXPECT_FALSE(res.ok);
+    EXPECT_NE(res.error.find("unsupported version 1"), std::string::npos)
+        << res.error;
+    EXPECT_EQ(res.error.find("fingerprint"), std::string::npos)
+        << res.error;
+    std::string meta;
+    EXPECT_FALSE(peekStreamCheckpointMeta(base, &meta, &error));
+    EXPECT_NE(error.find("unsupported version 1"), std::string::npos)
+        << error;
+}
+
+/**
+ * A stored section length near 2^64 must not wrap the bound check:
+ * the slot is rejected with a reason, nothing throws, and the other
+ * slot serves when it is good.
+ */
+TEST(StreamCheckpoint, InflatedSectionLengthIsRejected)
+{
+    const std::string base = freshBase("inflated");
+    StreamService writer(baseConfig(), trainedEstimator());
+    const ExperimentPool pool(1);
+    Fleet fleet(4, 40);
+    runRounds(writer, fleet, 4, 0, 6, pool);
+    CheckpointInfo first;
+    std::string error;
+    ASSERT_TRUE(writeStreamCheckpoint(writer, base, 1, "one", &first,
+                                      &error))
+        << error;
+    runRounds(writer, fleet, 4, 6, 9, pool);
+    CheckpointInfo second;
+    ASSERT_TRUE(writeStreamCheckpoint(writer, base, 2, "two", &second,
+                                      &error))
+        << error;
+    const std::string good = readFile(second.path);
+    const std::string older = readFile(first.path);
+    const uint64_t remaining = good.size() - (kFirstLengthOffset + 8);
+
+    for (const uint64_t length : {~uint64_t{0}, ~uint64_t{0} - 7,
+                                  uint64_t{remaining + 1}}) {
+        SCOPED_TRACE("length " + std::to_string(length));
+        std::string bytes = good;
+        poke<uint64_t>(bytes, kFirstLengthOffset, length);
+        writeFile(second.path, bytes);
+
+        // The older slot is good: it serves.
+        writeFile(first.path, older);
+        StreamService restored(baseConfig(), trainedEstimator());
+        RestoreResult res;
+        EXPECT_NO_THROW(res = restoreStreamCheckpoint(restored, base));
+        ASSERT_TRUE(res.ok) << res.error;
+        EXPECT_TRUE(res.usedFallback);
+        EXPECT_EQ(res.info.generation, 1u);
+        EXPECT_EQ(res.meta, "one");
+        EXPECT_NE(res.warning.find("truncated section 1"),
+                  std::string::npos)
+            << res.warning;
+
+        // Alone, the damaged slot fails cleanly, with its reason.
+        std::remove(first.path.c_str());
+        StreamService alone(baseConfig(), trainedEstimator());
+        EXPECT_NO_THROW(res = restoreStreamCheckpoint(alone, base));
+        EXPECT_FALSE(res.ok);
+        EXPECT_NE(res.error.find("truncated section 1"),
+                  std::string::npos)
+            << res.error;
+        std::string meta;
+        bool peeked = true;
+        EXPECT_NO_THROW(peeked =
+                            peekStreamCheckpointMeta(base, &meta, &error));
+        EXPECT_FALSE(peeked);
+    }
+}
+
+/**
+ * Seeded corruption sweep over a small checkpoint holding queued ring
+ * samples and a Degraded CPU rail. Generation 1 is intact; every
+ * damaged copy of generation 2 must make the restore serve generation
+ * 1 or fail with a reason: no exception, no `fatal:` line and no
+ * allocation larger than a small multiple of the file.
+ *  - every single-bit flip in the header and the section framing
+ *    (ids, lengths, checksums), and strided flips in the payloads:
+ *    the checksum chain must catch each one;
+ *  - the same payload flips with the chain recomputed, so they reach
+ *    the section decoders, plus every bit of each payload's first
+ *    16 bytes (the row and count fields): these may restore, but
+ *    only cleanly;
+ *  - truncation at every section boundary and one byte either side.
+ */
+TEST(StreamCheckpoint, CorruptionSweepRejectsCleanly)
+{
+    StreamConfig cfg = baseConfig();
+    cfg.ingest.shards = 2;
+    cfg.ingest.ringCapacity = 16;
+    cfg.ingest.highWatermark = 8;
+    cfg.drainBudget = 4;
+    const int clients = 4;
+    const std::string base = freshBase("sweep");
+
+    StreamService writer(cfg, trainedEstimator());
+    const ExperimentPool pool(1);
+    Fleet fleet(clients, 40);
+    int round = 0;
+    for (; round < 160; ++round) {
+        hostileRound(&writer, fleet, clients, round);
+        writer.tick(pool);
+        const RailStatus cpu = writer.railStatus(Rail::Cpu);
+        if (round >= kDriftFrom && cpu.state == DriftState::Degraded &&
+            cpu.degradedPublishes > 0)
+            break;
+    }
+    ASSERT_EQ(writer.railStatus(Rail::Cpu).state, DriftState::Degraded);
+    // Offered but not yet drained: queued samples are in the file.
+    hostileRound(&writer, fleet, clients, ++round);
+    ASSERT_GT(writer.ingestStats().admitted, writer.stats().drained);
+
+    CheckpointInfo first;
+    std::string error;
+    ASSERT_TRUE(writeStreamCheckpoint(writer, base, 1, "one", &first,
+                                      &error))
+        << error;
+    writer.tick(pool);
+    hostileRound(&writer, fleet, clients, ++round);
+    CheckpointInfo second;
+    ASSERT_TRUE(writeStreamCheckpoint(writer, base, 2, "two", &second,
+                                      &error))
+        << error;
+    const std::string good = readFile(second.path);
+    const std::vector<SectionSpan> spans = sectionsOf(good);
+    ASSERT_EQ(spans.size(), 5u);
+
+    size_t cases = 0;
+    size_t restoredNewest = 0;
+    const bool countAllocations = ::tdp::testutil::allocationHookActive();
+    // Restore one damaged generation 2. @p caught: the damage must be
+    // detected (generation 1 serves); otherwise it may also restore.
+    auto check = [&](const std::string &bytes, bool caught,
+                     const std::string &what) {
+        SCOPED_TRACE(what);
+        ++cases;
+        writeFile(second.path, bytes);
+        StreamService restored(cfg, trainedEstimator());
+        RestoreResult res;
+        ::tdp::testutil::resetLargestAllocation();
+        try {
+            res = restoreStreamCheckpoint(restored, base);
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << "restore threw: " << e.what();
+            return;
+        }
+        if (countAllocations) {
+            EXPECT_LE(::tdp::testutil::largestAllocation(),
+                      2 * good.size());
+        }
+        if (!res.ok) {
+            EXPECT_FALSE(caught) << res.error;
+            EXPECT_FALSE(res.error.empty());
+            return;
+        }
+        if (res.info.generation == 2) {
+            EXPECT_FALSE(caught) << "undetected damage";
+            ++restoredNewest;
+            return;
+        }
+        EXPECT_EQ(res.info.generation, 1u);
+        EXPECT_TRUE(res.usedFallback);
+        EXPECT_EQ(restored.digest(), first.digest);
+        EXPECT_EQ(res.meta, "one");
+    };
+    auto flip = [](std::string bytes, size_t offset, int bit) {
+        bytes[offset] = static_cast<char>(bytes[offset] ^ (1 << bit));
+        return bytes;
+    };
+    auto where = [](const char *kind, size_t offset, int bit) {
+        return std::string(kind) + " flip at byte " +
+               std::to_string(offset) + " bit " + std::to_string(bit);
+    };
+
+    testing::internal::CaptureStderr();
+    for (size_t offset = 0; offset < kHeaderBytes; ++offset)
+        for (int bit = 0; bit < 8; ++bit)
+            check(flip(good, offset, bit), true,
+                  where("header", offset, bit));
+    for (const SectionSpan &span : spans) {
+        std::vector<size_t> framing;
+        for (size_t i = span.start; i < span.payload; ++i)
+            framing.push_back(i);
+        for (size_t i = span.end - 8; i < span.end; ++i)
+            framing.push_back(i);
+        for (const size_t offset : framing)
+            for (int bit = 0; bit < 8; ++bit)
+                check(flip(good, offset, bit), true,
+                      where("framing", offset, bit));
+
+        for (size_t i = 0; i < span.length; i += 53) {
+            const size_t offset = span.payload + i;
+            const int bit = static_cast<int>(offset % 8);
+            check(flip(good, offset, bit), true,
+                  where("payload", offset, bit));
+            std::string sealed = flip(good, offset, bit);
+            reseal(sealed, spans);
+            check(sealed, false, where("resealed payload", offset, bit));
+        }
+        for (size_t i = 0; i < std::min<size_t>(16, span.length); ++i) {
+            for (int bit = 0; bit < 8; ++bit) {
+                std::string sealed = flip(good, span.payload + i, bit);
+                reseal(sealed, spans);
+                check(sealed, false,
+                      where("resealed field", span.payload + i, bit));
+            }
+        }
+    }
+    std::vector<size_t> boundaries = {kHeaderBytes};
+    for (const SectionSpan &span : spans)
+        boundaries.push_back(span.end);
+    for (const size_t boundary : boundaries) {
+        for (const size_t cut : {boundary - 1, boundary, boundary + 1}) {
+            if (cut >= good.size())
+                continue;
+            check(good.substr(0, cut), true,
+                  "truncated to " + std::to_string(cut) + " bytes");
+        }
+    }
+    const std::string log = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(log.find("fatal:"), std::string::npos);
+    EXPECT_GT(cases, 1500u);
+    // Most decoder-level damage lands in counters and doubles, which
+    // restore as stored; the sweep must have exercised both outcomes.
+    EXPECT_GT(restoredNewest, 0u);
+    EXPECT_LT(restoredNewest, cases);
+
+    // The intact file still restores as generation 2.
+    const size_t before = restoredNewest;
+    check(good, false, "intact");
+    EXPECT_EQ(restoredNewest, before + 1);
 }
 
 } // namespace
