@@ -225,6 +225,10 @@ initBench(int argc, char **argv)
             setBenchRepetitions(parsePositiveValue("--repetitions", value));
         }
     }
+    if (configuredJobs == 0) {
+        if (const char *env = std::getenv("TDP_JOBS"))
+            setJobs(parsePositiveValue("TDP_JOBS", env));
+    }
 
     if (trace_out.empty()) {
         const char *env = std::getenv("TDP_TRACE_OUT");
@@ -301,12 +305,8 @@ usageError(const std::string &message, const char *synopsis)
 int
 parsePositiveValue(const char *flag, const char *text)
 {
-    const int parsed = std::atoi(text);
-    if (parsed <= 0)
-        usageError(formatString("%s expects a positive integer, got "
-                                "'%s'",
-                                flag, text));
-    return parsed;
+    return static_cast<int>(
+        numberArg(flag, text, ArgKind::PositiveInteger));
 }
 
 double

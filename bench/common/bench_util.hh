@@ -33,10 +33,12 @@ constexpr uint64_t defaultSeed = 0x5eed2007;
  * Parse the shared bench flags and configure the experiment helpers.
  * Call first thing in every bench main. Unrecognised arguments are
  * left alone for the binary's own parsing; a malformed shared flag
- * (a missing or non-positive value) is a usage error (exit 2).
+ * (a missing value, or one that is not wholly a positive integer) is
+ * a usage error (exit 2).
  *
  *  - `--jobs N` / `-j N` / `--jobs=N` / `-jN`: experiment worker
- *    count (default: TDP_JOBS, else the hardware concurrency);
+ *    count (default: TDP_JOBS, held to the same rule, else the
+ *    hardware concurrency);
  *  - `--trace-cache` / `--trace-cache=DIR`: enable the trace cache
  *    (default directory `.tdp-trace-cache` when no DIR is given).
  *    runTraces() stores each trace as soon as it is simulated, so
@@ -96,8 +98,8 @@ std::vector<std::string> positionalArgs(int argc, char **argv);
 
 /**
  * Parse a positive count given to `flag` (a flag or an environment
- * variable name); usage error on anything else (atoi's 0 for
- * non-numeric text included).
+ * variable name) whole, by numberArg's rule; usage error on anything
+ * else (`2x` included).
  */
 int parsePositiveValue(const char *flag, const char *text);
 

@@ -1,5 +1,5 @@
-# Run one bench command and check how it exits; the BenchUsage.*
-# ctest entries use it. Run as
+# Run one command and check how it exits; the BenchUsage.* and
+# ExampleSmoke.* ctest entries use it. Run as
 #   cmake -DCMD=<binary> -DARGS=<a|b|...> -DEXPECT_CODE=<n>
 #         [-DEXPECT_STDOUT=<regex>] [-DEXPECT_STDERR=<regex>]
 #         -P expect_exit.cmake

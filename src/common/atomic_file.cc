@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -75,6 +76,20 @@ syncFile(const std::string &path, std::string *error)
 }
 
 /**
+ * Per-thread path buffers of writeFileAtomic. Their capacity is
+ * reused, so a thread that publishes again and again (a checkpoint
+ * writer) stops allocating after its first publish. A writer
+ * callback must therefore not call writeFileAtomic itself.
+ */
+struct PathScratch
+{
+    std::string tmp;
+    std::string dir;
+};
+
+thread_local PathScratch scratch;
+
+/**
  * fsync the directory containing `path` so the rename itself is
  * durable. Best effort: some filesystems refuse directory opens;
  * those failures are reported but the publish already happened.
@@ -82,8 +97,14 @@ syncFile(const std::string &path, std::string *error)
 bool
 syncParentDir(const std::string &path, std::string *error)
 {
-    const fs::path parent = fs::path(path).parent_path();
-    const std::string dir = parent.empty() ? "." : parent.string();
+    std::string &dir = scratch.dir;
+    const size_t slash = path.rfind('/');
+    if (slash == std::string::npos)
+        dir = ".";
+    else if (slash == 0)
+        dir = "/";
+    else
+        dir.assign(path, 0, slash);
     const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
     if (fd < 0)
         return failWith(error,
@@ -100,20 +121,36 @@ syncParentDir(const std::string &path, std::string *error)
     return true;
 }
 
-/** Unique temp name for one destination, process-scoped. */
-std::string
+/**
+ * Unique temp name for one destination, process-scoped, built into
+ * @p out: `<dir>/<name>.<stage>.<pid>.<n>`, where dir is @p tmpDir
+ * or else the destination's own directory.
+ */
+void
 tempPathFor(const std::string &path, const std::string &tmpDir,
-            const char *stage)
+            const char *stage, std::string &out)
 {
     static std::atomic<uint64_t> counter{0};
     const uint64_t n = counter.fetch_add(1, std::memory_order_relaxed);
-    const std::string name = formatString(
-        "%s.%s.%ld.%llu", fs::path(path).filename().c_str(), stage,
-        static_cast<long>(::getpid()),
-        static_cast<unsigned long long>(n));
-    const fs::path dir =
-        tmpDir.empty() ? fs::path(path).parent_path() : fs::path(tmpDir);
-    return (dir / name).string();
+    const size_t slash = path.rfind('/');
+    const size_t nameAt = slash == std::string::npos ? 0 : slash + 1;
+    char suffix[64];
+    const int len = std::snprintf(suffix, sizeof suffix, ".%s.%ld.%llu",
+                                  stage, static_cast<long>(::getpid()),
+                                  static_cast<unsigned long long>(n));
+    // Room for the longest suffix, so a counter gaining digits never
+    // reallocates.
+    out.clear();
+    out.reserve(tmpDir.size() + 1 + path.size() + sizeof suffix);
+    if (!tmpDir.empty()) {
+        out += tmpDir;
+        if (out.back() != '/')
+            out += '/';
+    } else {
+        out.append(path, 0, nameAt);
+    }
+    out.append(path, nameAt, std::string::npos);
+    out.append(suffix, static_cast<size_t>(len));
 }
 
 } // namespace
@@ -140,9 +177,15 @@ writeFileAtomic(const std::string &path,
 {
     const IoFault fault = consultHook(path);
 
-    const std::string tmp = tempPathFor(path, options.tmpDir, "tmp");
+    std::string &tmp = scratch.tmp;
+    tempPathFor(path, options.tmpDir, "tmp", tmp);
     {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
+        // A stream buffer of our own: opening with the default one
+        // would allocate it on every publish.
+        char buffer[BUFSIZ];
+        std::ofstream os;
+        os.rdbuf()->pubsetbuf(buffer, sizeof buffer);
+        os.open(tmp, std::ios::binary | std::ios::trunc);
         if (!os)
             return failWith(error, formatString("cannot write %s",
                                                 tmp.c_str()));
@@ -183,21 +226,22 @@ writeFileAtomic(const std::string &path,
 
     std::error_code ec;
     bool crossed = fault == IoFault::Exdev;
-    if (!crossed) {
-        fs::rename(tmp, path, ec);
-        crossed = ec == std::errc::cross_device_link;
-        if (ec && !crossed) {
-            const std::string msg = ec.message();
+    if (!crossed && ::rename(tmp.c_str(), path.c_str()) != 0) {
+        const int saved = errno;
+        crossed = saved == EXDEV;
+        if (!crossed) {
             fs::remove(tmp, ec);
             return failWith(error,
                             formatString("cannot publish %s (%s)",
-                                         path.c_str(), msg.c_str()));
+                                         path.c_str(),
+                                         std::strerror(saved)));
         }
     }
     if (crossed) {
         // Temp landed on another filesystem (or injected EXDEV):
         // copy next to the destination and rename that instead.
-        const std::string near = tempPathFor(path, "", "xdev");
+        std::string near;
+        tempPathFor(path, "", "xdev", near);
         fs::copy_file(tmp, near, fs::copy_options::overwrite_existing,
                       ec);
         if (ec) {

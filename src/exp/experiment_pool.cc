@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <exception>
+#include <limits>
 #include <mutex>
 #include <thread>
 
@@ -28,9 +29,11 @@ int
 ExperimentPool::defaultJobs()
 {
     if (const char *env = std::getenv("TDP_JOBS")) {
-        const int parsed = std::atoi(env);
-        if (parsed > 0)
-            return parsed;
+        char *end = nullptr;
+        const long parsed = std::strtol(env, &end, 10);
+        if (end != env && *end == '\0' && parsed > 0 &&
+            parsed <= std::numeric_limits<int>::max())
+            return static_cast<int>(parsed);
         warn("TDP_JOBS='%s' is not a positive integer; ignoring", env);
     }
     const unsigned hw = std::thread::hardware_concurrency();

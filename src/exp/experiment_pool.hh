@@ -44,7 +44,8 @@ class ExperimentPool
     int jobs() const { return jobs_; }
 
     /**
-     * Default worker count: TDP_JOBS when set (clamped to >= 1), else
+     * Default worker count: TDP_JOBS when it is wholly a positive
+     * integer (anything else is warned about and ignored), else
      * std::thread::hardware_concurrency().
      */
     static int defaultJobs();

@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -302,6 +303,39 @@ parseCheckpointFile(const std::string &path, Parsed &out,
     return true;
 }
 
+/**
+ * Serialise generation @p generation of @p service into @p file,
+ * reusing its capacity: a counting pass sizes it, then one pass
+ * fills it. Returns the file checksum.
+ */
+uint64_t
+encodeStreamCheckpoint(const StreamService &service,
+                       uint64_t generation, const std::string &meta,
+                       std::string &file)
+{
+    CheckpointWriter sizer;
+    emitCheckpoint(service, generation, meta, sizer, nullptr);
+    file.clear();
+    file.reserve(sizer.size());
+    CheckpointWriter w(&file);
+    return emitCheckpoint(service, generation, meta, w, &file);
+}
+
+/** Atomically publish the encoded @p file at @p path. */
+bool
+publishCheckpointFile(const std::string &path, const std::string &file,
+                      std::string *error)
+{
+    return writeFileAtomic(
+        path,
+        [&file](std::ostream &os) {
+            os.write(file.data(),
+                     static_cast<std::streamsize>(file.size()));
+            return os.good();
+        },
+        error);
+}
+
 /** True when @p path exists (any kind of entry). */
 bool
 fileExists(const std::string &path)
@@ -324,25 +358,11 @@ writeStreamCheckpoint(const StreamService &service,
                       const std::string &meta, CheckpointInfo *info,
                       std::string *error)
 {
-    // Size the file with a counting pass, then serialise it into one
-    // buffer of that size.
-    CheckpointWriter sizer;
-    emitCheckpoint(service, generation, meta, sizer, nullptr);
     std::string file;
-    file.reserve(sizer.size());
-    CheckpointWriter w(&file);
     const uint64_t checksum =
-        emitCheckpoint(service, generation, meta, w, &file);
-
+        encodeStreamCheckpoint(service, generation, meta, file);
     const std::string path = checkpointGenerationPath(base, generation);
-    const bool ok = writeFileAtomic(
-        path,
-        [&](std::ostream &os) {
-            os.write(file.data(),
-                     static_cast<std::streamsize>(file.size()));
-            return os.good();
-        },
-        error);
+    const bool ok = publishCheckpointFile(path, file, error);
     if (ok && info != nullptr) {
         info->generation = generation;
         info->tick = service.now();
@@ -519,12 +539,25 @@ StreamCheckpointer::StreamCheckpointer(StreamService &service,
         fatal("StreamCheckpointer: everyTicks must be >= 1");
     if (base_.empty())
         fatal("StreamCheckpointer: base path must not be empty");
-    if (startGeneration == 0) {
+    for (uint64_t slot = 0; slot < 2; ++slot) {
+        slotPaths_[slot] = checkpointGenerationPath(base_, slot);
         // Fresh rotation: stale generations from a previous run with
         // the same base must not shadow this run's checkpoints.
-        std::remove(checkpointGenerationPath(base_, 0).c_str());
-        std::remove(checkpointGenerationPath(base_, 1).c_str());
+        if (startGeneration == 0)
+            std::remove(slotPaths_[slot].c_str());
     }
+    writer_ = std::thread([this] { writerLoop(); });
+}
+
+StreamCheckpointer::~StreamCheckpointer()
+{
+    reap();
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        stop_ = true;
+    }
+    wake_.notify_one();
+    writer_.join();
 }
 
 void
@@ -533,29 +566,97 @@ StreamCheckpointer::onTick()
     const uint64_t now = service_.now();
     if (now == 0 || now % every_ != 0)
         return;
-    writeNow();
+    reap();
+    handOff();
 }
 
 bool
 StreamCheckpointer::writeNow()
 {
-    const uint64_t generation = generation_ + 1;
-    CheckpointInfo info;
+    reap();
+    handOff();
+    return reap();
+}
+
+void
+StreamCheckpointer::handOff()
+{
+    // Everything deterministic happens here, on the tick: the bytes,
+    // the identity and the attempt count.
+    pending_.generation = generation_ + 1;
+    pending_.tick = service_.now();
+    pending_.digest = service_.digest();
+    pending_.crc = encodeStreamCheckpoint(service_, pending_.generation,
+                                          meta_, file_);
+    pending_.path = slotPaths_[pending_.generation % 2];
+    service_.noteCheckpointAttempt();
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        queued_ = true;
+    }
+    wake_.notify_one();
+    inFlight_ = true;
+}
+
+bool
+StreamCheckpointer::reap()
+{
+    if (!inFlight_)
+        return true;
+    bool ok = false;
     std::string error;
-    if (!writeStreamCheckpoint(service_, base_, generation, meta_,
-                               &info, &error)) {
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        if (!finished_) {
+            ++waits_;
+            done_.wait(lock, [this] { return finished_; });
+        }
+        finished_ = false;
+        ok = ok_;
+        error.swap(error_);
+    }
+    inFlight_ = false;
+    if (!ok) {
         ++failures_;
-        service_.noteCheckpointFailure(generation);
+        service_.noteCheckpointFailure(pending_.generation);
         warn("stream checkpoint: generation %llu failed: %s",
-             static_cast<unsigned long long>(generation),
+             static_cast<unsigned long long>(pending_.generation),
              error.c_str());
         return false;
     }
-    generation_ = generation;
+    generation_ = pending_.generation;
     ++written_;
-    last_ = info;
-    service_.noteCheckpoint(info.generation, info.crc);
+    last_ = pending_;
+    service_.noteCheckpoint(pending_.generation, pending_.crc);
     return true;
+}
+
+void
+StreamCheckpointer::writerLoop()
+{
+    std::unique_lock<std::mutex> lock(mutex_);
+    for (;;) {
+        wake_.wait(lock, [this] { return queued_ || stop_; });
+        if (!queued_)
+            return;
+        queued_ = false;
+        lock.unlock();
+        std::string error;
+        bool ok = false;
+        try {
+            ok = publishCheckpointFile(pending_.path, file_, &error);
+        } catch (const std::exception &e) {
+            // Reported at the reap like any failed publish; an
+            // exception must not end the writer thread (and with it
+            // the process).
+            error = e.what();
+        }
+        lock.lock();
+        ok_ = ok;
+        error_.swap(error);
+        finished_ = true;
+        done_.notify_one();
+    }
 }
 
 void
@@ -782,8 +883,15 @@ StreamService::checkpointRestoreFinish(uint64_t generation,
 }
 
 void
+StreamService::noteCheckpointAttempt()
+{
+    ++checkpointsInFlight_;
+}
+
+void
 StreamService::noteCheckpoint(uint64_t generation, uint64_t crc)
 {
+    --checkpointsInFlight_;
     ++stats_.checkpoints;
     telemetry_.flight(telemetry_.serviceRing(), FlightKind::Checkpoint,
                       now_, generation, crc);
@@ -792,6 +900,7 @@ StreamService::noteCheckpoint(uint64_t generation, uint64_t crc)
 void
 StreamService::noteCheckpointFailure(uint64_t generation)
 {
+    --checkpointsInFlight_;
     ++stats_.checkpointFailures;
     telemetry_.flight(telemetry_.serviceRing(),
                       FlightKind::CheckpointFailed, now_, generation);

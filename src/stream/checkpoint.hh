@@ -30,7 +30,8 @@
  * byte of the file is therefore covered, a torn write is detected
  * wherever it lands, and the last link is the file checksum - no
  * second pass. The file is serialised into one buffer sized by a
- * counting pass over the same encoders; a SessionTable section
+ * counting pass over the same encoders (StreamCheckpointer reuses
+ * its buffer from one checkpoint to the next); a SessionTable section
  * stores its SoA columns one after another, each written and read
  * with one bounded copy. Publication goes through
  * writeFileAtomic (temp + fsync + rename + directory fsync) into a
@@ -54,9 +55,13 @@
 #ifndef TDP_STREAM_CHECKPOINT_HH
 #define TDP_STREAM_CHECKPOINT_HH
 
+#include <array>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -77,9 +82,9 @@ constexpr uint32_t kSecShardBase = 100; ///< + shard: sessions + ring
 
 /**
  * Serializer the checkpointed classes write themselves into. A writer
- * made without a buffer only counts bytes: writeStreamCheckpoint runs
- * every encoder once that way to size the file buffer, then again
- * into it. Values are stored as raw native bytes; doubles go through
+ * made without a buffer only counts bytes: the checkpoint encoder
+ * runs every encoder once that way to size the file buffer, then
+ * again into it. Values are stored as raw native bytes; doubles go through
  * their bit pattern so NaNs and -0.0 round-trip exactly.
  */
 class CheckpointWriter
@@ -270,11 +275,27 @@ bool peekStreamCheckpointMeta(const std::string &base,
 
 /**
  * Periodic checkpoint driver: call onTick() after every
- * service.tick() and a checkpoint is written whenever the tick
- * count crosses the cadence, in deterministic shard order, plus on
- * demand (writeNow(), e.g. from a SIGTERM drain). Failures are
- * counted and warned, never fatal - the service keeps running on
- * the previous generation.
+ * service.tick() and a checkpoint is taken whenever the tick count
+ * crosses the cadence, in deterministic shard order, plus on demand
+ * (writeNow(), e.g. from a shutdown drain).
+ *
+ * A checkpoint is taken in two steps. On the tick, the checkpointer
+ * encodes the service state into one reused buffer and counts the
+ * attempt with the service - everything that must be deterministic.
+ * One writer thread, owned by the checkpointer, then publishes that
+ * buffer with writeFileAtomic (temp file, fsync, rename, directory
+ * fsync), so the file I/O leaves the tick while durability stays
+ * what it was. At most one write is in flight: the next checkpoint
+ * tick, writeNow() and the destructor first reap it, waiting when it
+ * is unfinished (each such wait is counted in waits()).
+ *
+ * A write's outcome - written()/failures(), generation(), last(),
+ * the service's checkpoint counters and its flight event - is
+ * applied when it is reaped. Reap points are fixed by the cadence,
+ * never by I/O timing, so every service counter stays deterministic
+ * at any worker count. Failures are counted and warned, never fatal:
+ * the generation is not advanced, the next attempt retries it, and
+ * the service keeps running on the previous generation.
  */
 class StreamCheckpointer
 {
@@ -288,34 +309,80 @@ class StreamCheckpointer
                        uint64_t everyTicks,
                        uint64_t startGeneration = 0);
 
+    /** Reaps the write in flight, then stops the writer thread. */
+    ~StreamCheckpointer();
+
+    StreamCheckpointer(const StreamCheckpointer &) = delete;
+    StreamCheckpointer &operator=(const StreamCheckpointer &) = delete;
+
     /** Opaque payload stored in every subsequent checkpoint. */
     void setMeta(std::string payload) { meta_ = std::move(payload); }
 
-    /** Checkpoint when the service crossed the cadence boundary. */
+    /**
+     * On a cadence tick: reap the previous write, encode this tick's
+     * checkpoint and hand it to the writer.
+     */
     void onTick();
 
-    /** Write generation last+1 immediately. */
+    /**
+     * Hand off generation last+1 and reap it: true once it is
+     * published.
+     */
     bool writeNow();
 
     const std::string &base() const { return base_; }
     uint64_t everyTicks() const { return every_; }
 
-    /** Last generation written (0 before the first). */
+    /** Last generation published (0 before the first). */
     uint64_t generation() const { return generation_; }
 
+    /** Reaped writes that published / failed. @{ */
     uint64_t written() const { return written_; }
     uint64_t failures() const { return failures_; }
+    /** @} */
+
+    /** Reaps that found the write unfinished and waited for it. */
+    uint64_t waits() const { return waits_; }
+
     const CheckpointInfo &last() const { return last_; }
 
   private:
+    void handOff();
+    bool reap();
+    void writerLoop();
+
     StreamService &service_;
     std::string base_;
+    std::array<std::string, 2> slotPaths_; ///< `<base>.gen0`, `.gen1`
     uint64_t every_;
     std::string meta_;
     uint64_t generation_ = 0;
     uint64_t written_ = 0;
     uint64_t failures_ = 0;
+    uint64_t waits_ = 0;
     CheckpointInfo last_;
+
+    /**
+     * The write handed to the writer: its encoded file and identity.
+     * The writer reads them while the write is in flight; the tick
+     * touches them again only after reaping it.
+     */
+    std::string file_;
+    CheckpointInfo pending_;
+    bool inFlight_ = false; ///< tick side: handed off, not yet reaped
+
+    /** Hand-off state, guarded by mutex_. @{ */
+    std::mutex mutex_;
+    std::condition_variable wake_; ///< tick -> writer: queued_ or stop_
+    std::condition_variable done_; ///< writer -> tick: finished_
+    bool queued_ = false;
+    bool finished_ = false;
+    bool stop_ = false;
+    bool ok_ = false;
+    std::string error_;
+    /** @} */
+
+    std::thread writer_;
 };
 
 } // namespace stream

@@ -312,7 +312,10 @@ StreamService::cumulativeTimelineCounters() const
     // Attempts, not successes: a run with flaky checkpoint I/O must
     // seal the same timeline as a healthy one modulo this counter
     // alone, and attempts are deterministic where outcomes are not.
-    c.checkpoints = stats_.checkpoints + stats_.checkpointFailures;
+    // An attempt counts from the tick that encodes it, not from the
+    // later tick that reaps its write.
+    c.checkpoints = stats_.checkpoints + stats_.checkpointFailures +
+                    checkpointsInFlight_;
     return c;
 }
 

@@ -255,6 +255,11 @@ class StreamService
     bool checkpointRestoreService(CheckpointReader &r);
     void checkpointRestoreFinish(uint64_t generation,
                                  bool usedFallback);
+    /**
+     * A checkpoint is noted twice: its attempt on the tick that
+     * encodes it, its outcome when the write is reaped.
+     */
+    void noteCheckpointAttempt();
     void noteCheckpoint(uint64_t generation, uint64_t crc);
     void noteCheckpointFailure(uint64_t generation);
     /** @} */
@@ -338,6 +343,9 @@ class StreamService
     uint64_t now_ = 0;
     uint64_t digest_;
     Stats stats_;
+
+    /** Checkpoints encoded whose outcome is not yet noted (0 or 1). */
+    uint64_t checkpointsInFlight_ = 0;
 
     /** Deterministic queue-delay histogram (log2 ticks). */
     std::array<uint64_t, obs::histogramBuckets> latency_{};

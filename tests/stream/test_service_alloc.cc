@@ -10,12 +10,17 @@
  * (alloc_hook.cc). Skipped under sanitizers, which own operator new.
  */
 
+#include <cstdio>
+#include <functional>
 #include <memory>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "alloc_hook.hh"
+#include "common/atomic_file.hh"
 #include "stream/checkpoint.hh"
 #include "stream/service.hh"
 #include "stream_fleet.hh"
@@ -152,6 +157,39 @@ TEST(StreamServiceAlloc, SteadyStateWithTelemetryIsAllocationFree)
 TEST(StreamServiceAlloc, SteadyStateWithCheckpointingIsAllocationFree)
 {
     expectSteadyStateAllocationFree(true, true);
+}
+
+/**
+ * The checkpoint writer thread's steady state. StreamCheckpointer
+ * publishes on its own thread while the next ticks run, so the
+ * publish must not allocate either, or the steady-state windows
+ * above would count it. One thread publishing the same destination
+ * again and again - what the writer does - allocates nothing after
+ * its first publish.
+ */
+TEST(StreamServiceAlloc, RepeatedAtomicPublishIsAllocationFree)
+{
+    if (!tdp::testutil::allocationHookActive())
+        GTEST_SKIP() << "sanitizer build: operator new is owned by "
+                        "the sanitizer runtime";
+
+    const std::string path = testing::TempDir() + "tdp-alloc-publish";
+    const std::string payload(64 * 1024, 'x');
+    const std::function<bool(std::ostream &)> writer =
+        [&payload](std::ostream &os) {
+            os.write(payload.data(),
+                     static_cast<std::streamsize>(payload.size()));
+            return os.good();
+        };
+    std::string error;
+    ASSERT_TRUE(writeFileAtomic(path, writer, &error)) << error;
+    ASSERT_TRUE(writeFileAtomic(path, writer, &error)) << error;
+
+    const uint64_t before = tdp::testutil::allocationCount();
+    for (int i = 0; i < 8; ++i)
+        ASSERT_TRUE(writeFileAtomic(path, writer, &error)) << error;
+    EXPECT_EQ(tdp::testutil::allocationCount() - before, 0u);
+    std::remove(path.c_str());
 }
 
 } // namespace
