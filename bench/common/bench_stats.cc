@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <thread>
@@ -103,17 +102,6 @@ compilerVersion()
 #endif
 }
 
-int
-parseRepsValue(const char *text)
-{
-    char *end = nullptr;
-    const long parsed = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || parsed <= 0)
-        fatal("--repetitions expects a positive count, got '%s'",
-              text);
-    return static_cast<int>(parsed);
-}
-
 /** Escape the few JSON-significant characters a context can hold. */
 std::string
 jsonEscape(const std::string &text)
@@ -198,27 +186,6 @@ setBenchRepetitions(int reps)
         fatal("setBenchRepetitions: count must be positive, got %d",
               reps);
     configuredReps = reps;
-}
-
-int
-applyRepetitionsFlag(int argc, char **argv)
-{
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strcmp(arg, "--repetitions") == 0) {
-            if (i + 1 >= argc)
-                fatal("--repetitions expects a count");
-            setBenchRepetitions(parseRepsValue(argv[++i]));
-        } else if (std::strncmp(arg, "--repetitions=", 14) == 0) {
-            setBenchRepetitions(parseRepsValue(arg + 14));
-        } else {
-            argv[out++] = argv[i];
-        }
-    }
-    for (int i = out; i < argc; ++i)
-        argv[i] = nullptr;
-    return out;
 }
 
 std::string

@@ -4,10 +4,6 @@
  * the versioned BENCH_<name>.json format the repo's perf trajectory
  * is built from.
  *
- * Deliberately thin on dependencies (tdp_common only) so the
- * google-benchmark binaries can link it without pulling the full
- * simulator stack in.
- *
  * Format (version 2): one JSON object per bench binary with
  *  - "machine": CPU model, core count, compiler and git sha, so a
  *    trajectory point is attributable to the environment it ran on;
@@ -88,22 +84,13 @@ const MachineContext &machineContext();
 
 /**
  * Repetition count bench binaries should run their measured section
- * with: the --repetitions flag when given (see
- * applyRepetitionsFlag), else TDP_BENCH_REPS, else 5.
+ * with: the --repetitions flag when given (parsed by
+ * bench_util's initBench), else TDP_BENCH_REPS, else 5.
  */
 int benchRepetitions();
 
 /** Override the repetition count (flag parsing; must be >= 1). */
 void setBenchRepetitions(int reps);
-
-/**
- * Consume a leading `--repetitions N` / `--repetitions=N` from argv
- * (anywhere in the list), routing the value to setBenchRepetitions,
- * and compact argv in place. Returns the new argc. Binaries that do
- * not use bench_util::initBench (the google-benchmark mains) call
- * this before handing argv to their own parser.
- */
-int applyRepetitionsFlag(int argc, char **argv);
 
 /**
  * Write `BENCH_<bench>.json` (format version 2) with the machine

@@ -694,19 +694,6 @@ printErrorTable(const SystemPowerEstimator &estimator,
 }
 
 std::string
-writeBenchJson(const std::string &bench,
-               const std::vector<BenchMetric> &metrics)
-{
-    std::vector<MetricSeries> series;
-    series.reserve(metrics.size());
-    for (const BenchMetric &metric : metrics)
-        series.push_back(
-            {metric.name, {metric.value}, metric.unit, false,
-             "lower"});
-    return writeBenchSeries(bench, series);
-}
-
-std::string
 writeBenchSeries(const std::string &bench,
                  const std::vector<MetricSeries> &metrics)
 {

@@ -265,31 +265,6 @@ std::vector<ValidationResult> printErrorTable(
     const std::vector<std::string> &workloads,
     const std::string &average_label, uint64_t seed = defaultSeed);
 
-/** One metric of a machine-readable bench result. */
-struct BenchMetric
-{
-    /** Metric name, e.g. "cold_seconds". */
-    std::string name;
-
-    /** Metric value. */
-    double value = 0.0;
-
-    /** Unit label, e.g. "s" or "samples/s" (may be empty). */
-    std::string unit;
-};
-
-/**
- * Write a machine-readable bench result file named
- * `BENCH_<bench>.json` so perf trajectories can be collected by
- * scripts/CI instead of scraped from stdout. Single-value
- * convenience over writeBenchSeriesJson (bench_stats.hh): each
- * metric becomes a one-repetition, ungated series, and the machine
- * context rides along. Benches that measure repeatedly should build
- * MetricSeries directly. Returns the path written.
- */
-std::string writeBenchJson(const std::string &bench,
-                           const std::vector<BenchMetric> &metrics);
-
 /**
  * writeBenchSeriesJson plus the manifest hook: when observability is
  * on, each metric's mean is added to the run manifest. All the bench

@@ -67,12 +67,13 @@ class CapGovernor
         // The paper's models assume the nominal frequency (the 2007
         // machine ran no DVFS). The governor knows the P-state it
         // commanded, so it rescales the CPU-rail estimate by the
-        // classic s*v^2 factor - the DVFS-awareness extension.
+        // classic s*v^2 factor: the idle share (9.25 W per CPU)
+        // scales with v^2 only, the activity share with s*v^2.
         const double s =
             server_.cpus().core(0).clock().scale();
         const double v = 0.75 + 0.25 * s;
         const size_t cpu = static_cast<size_t>(Rail::Cpu);
-        const double idle = 4.0 * 9.25;
+        const double idle = server_.cpus().coreCount() * 9.25;
         bd.watts[cpu] = idle * v * v +
                         (bd.watts[cpu] - idle) * s * v * v;
         lastEstimate_ = bd.total();

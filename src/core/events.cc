@@ -159,28 +159,6 @@ deriveCpu(const CounterSnapshot &snap, double disk_interrupts,
      ...);
 }
 
-/** Fill @p out from @p n CPUs, counters(i) giving CPU i's deltas. */
-template <typename Counters>
-void
-derive(size_t n, double interval, double disk_interrupts,
-       double device_interrupts, Counters &&counters, EventVector &out)
-{
-    out.interval = interval;
-    if (n == 0)
-        fatal("EventVector: sample with no CPUs");
-    out.cpu.resize(n);
-
-    for (size_t i = 0; i < n; ++i) {
-        const CounterSnapshot &snap = counters(i);
-        const double cycles = snap[PerfEvent::Cycles];
-        if (cycles <= 0.0)
-            fatal("EventVector: sample with zero cycles on cpu %zu", i);
-        deriveCpu(snap, disk_interrupts, device_interrupts, cycles,
-                  static_cast<double>(n), out.cpu[i],
-                  std::make_index_sequence<numRateFields>());
-    }
-}
-
 } // namespace
 
 EventVector
@@ -195,13 +173,24 @@ void
 EventVector::fromSampleInto(const AlignedSample &sample,
                             EventVector &out)
 {
-    derive(
-        sample.perCpu.size(), sample.interval, sample.osDiskInterrupts,
-        sample.osDeviceInterrupts,
-        [&sample](size_t i) -> const CounterSnapshot & {
-            return sample.perCpu[i];
-        },
-        out);
+    const size_t n = sample.perCpu.size();
+    // Locals, so the stores into out.cpu need not reload them.
+    const double disk_interrupts = sample.osDiskInterrupts;
+    const double device_interrupts = sample.osDeviceInterrupts;
+    out.interval = sample.interval;
+    if (n == 0)
+        fatal("EventVector: sample with no CPUs");
+    out.cpu.resize(n);
+
+    for (size_t i = 0; i < n; ++i) {
+        const CounterSnapshot &snap = sample.perCpu[i];
+        const double cycles = snap[PerfEvent::Cycles];
+        if (cycles <= 0.0)
+            fatal("EventVector: sample with zero cycles on cpu %zu", i);
+        deriveCpu(snap, disk_interrupts, device_interrupts, cycles,
+                  static_cast<double>(n), out.cpu[i],
+                  std::make_index_sequence<numRateFields>());
+    }
 }
 
 double

@@ -5,10 +5,10 @@
  * One schema-versioned JSON document per bench run folding together
  * everything a script or CI job needs: which tool ran with which
  * worker count, every workload run (sample counts, fingerprints,
- * cache provenance), the bench's own metrics (the writeBenchJson
- * timings), free-form flat sections contributed by higher layers
- * (training scrub counts, estimator health, trace-cache outcomes)
- * and a full StatsRegistry snapshot.
+ * cache provenance), the bench's own metrics (the series means
+ * bench_util's writeBenchSeries records), free-form flat sections
+ * contributed by higher layers (training scrub counts, estimator
+ * health, trace-cache outcomes) and a full StatsRegistry snapshot.
  *
  * The manifest deliberately depends only on scalars and strings, so
  * the obs library stays at the bottom of the dependency stack; the
@@ -57,7 +57,7 @@ struct ManifestRun
     double simSeconds = 0.0;
 };
 
-/** One bench metric (mirrors bench_util's BenchMetric). */
+/** One bench metric: a series' mean and its unit. */
 struct ManifestMetric
 {
     std::string name;

@@ -679,7 +679,7 @@ CheckpointReader::bytes(void *out, size_t n)
 // widening the service's public state surface.
 
 uint64_t
-StreamService::checkpointFingerprint() const
+StreamService::computeCheckpointFingerprint() const
 {
     uint64_t h = fnv1aBasis;
     auto fold = [&h](uint64_t v) { h = fnv1a64(&v, sizeof v, h); };

@@ -119,6 +119,7 @@ StreamService::StreamService(const StreamConfig &config,
         fatal("StreamService: drainBudget must be >= 1");
     if (!est_.ready())
         fatal("StreamService: estimator must be trained (ready())");
+    fingerprint_ = computeCheckpointFingerprint();
 
     const size_t shards = static_cast<size_t>(cfg_.ingest.shards);
     sessions_.reserve(shards);

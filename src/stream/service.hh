@@ -244,9 +244,12 @@ class StreamService
      * Checkpoint plumbing (stream/checkpoint.hh owns the format;
      * these expose the state without widening the public surface).
      * Restores require a freshly constructed service and report
-     * corruption by failing the reader - never fatal(). @{
+     * corruption by failing the reader - never fatal(). The
+     * fingerprint (configuration plus trained fallback rungs, none
+     * of which change at runtime) is computed once at construction.
+     * @{
      */
-    uint64_t checkpointFingerprint() const;
+    uint64_t checkpointFingerprint() const { return fingerprint_; }
     void checkpointSaveIngest(CheckpointWriter &w) const;
     void checkpointSaveShard(size_t shard, CheckpointWriter &w) const;
     void checkpointSaveService(CheckpointWriter &w) const;
@@ -319,6 +322,9 @@ class StreamService
     /** Push a fit into the rail's primary model. */
     void applyCoefficients(Rail rail, const FitResult &fit);
 
+    /** Hash of what a checkpoint must match to restore. */
+    uint64_t computeCheckpointFingerprint() const;
+
     StreamConfig cfg_;
     SystemPowerEstimator est_;
     ShardedIngest ingest_;
@@ -366,6 +372,9 @@ class StreamService
      * and allocation-free in steady state.
      */
     StreamTelemetry telemetry_;
+
+    /** computeCheckpointFingerprint(), fixed at construction. */
+    uint64_t fingerprint_;
 };
 
 } // namespace stream

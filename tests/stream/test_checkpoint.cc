@@ -463,6 +463,31 @@ TEST(StreamCheckpoint, ConfigFingerprintMismatchIsRejected)
         << res.error;
 }
 
+/**
+ * The fingerprint hashes the configuration and the trained fallback
+ * rungs, none of which change at runtime, so the service computes it
+ * once: a service that has streamed and refitted reads it without an
+ * allocation, and it still equals a freshly built twin's.
+ */
+TEST(StreamCheckpoint, FingerprintIsComputedOnce)
+{
+    const int clients = 8;
+    StreamService service(baseConfig(), trainedEstimator());
+    const ExperimentPool pool(1);
+    Fleet fleet(clients, 40);
+    runRounds(service, fleet, clients, 0, 40, pool);
+    ASSERT_GT(service.railStatus(Rail::Cpu).refits, 0u);
+
+    const uint64_t before = ::tdp::testutil::allocationCount();
+    const uint64_t fingerprint = service.checkpointFingerprint();
+    if (::tdp::testutil::allocationHookActive()) {
+        EXPECT_EQ(::tdp::testutil::allocationCount() - before, 0u);
+    }
+
+    const StreamService twin(baseConfig(), trainedEstimator());
+    EXPECT_EQ(fingerprint, twin.checkpointFingerprint());
+}
+
 TEST(StreamCheckpoint, RestoreRequiresFreshService)
 {
     const std::string base = freshBase("used");
