@@ -150,6 +150,20 @@ flagValue(int argc, char **argv, int &i, const char *flag,
     return value;
 }
 
+/**
+ * The directory a bare `--trace-cache` at argv[i] takes from the next
+ * argument (advancing i past it), as `--trace-out FILE` does; nullptr,
+ * meaning the default directory, when the next argument is missing,
+ * empty or starts with '-'.
+ */
+const char *
+traceCacheDir(int argc, char **argv, int &i)
+{
+    if (i + 1 >= argc || argv[i + 1][0] == '\0' || argv[i + 1][0] == '-')
+        return nullptr;
+    return argv[++i];
+}
+
 /** Resolve the cache from the environment when no flag decided it. */
 void
 resolveTraceCache()
@@ -202,7 +216,8 @@ initBench(int argc, char **argv)
                                       "a worker count"))) {
             setJobs(parsePositiveValue("--jobs", value));
         } else if (std::strcmp(arg, "--trace-cache") == 0) {
-            setTraceCacheRoot(TraceCache::defaultRoot());
+            const char *dir = traceCacheDir(argc, argv, i);
+            setTraceCacheRoot(dir ? dir : TraceCache::defaultRoot());
         } else if ((value = flagValue(argc, argv, i, "--trace-cache",
                                       "a directory"))) {
             setTraceCacheRoot(value);
@@ -277,8 +292,12 @@ positionalArgs(int argc, char **argv)
                 ++i; // skip the value
             continue;
         }
+        if (std::strcmp(arg, "--trace-cache") == 0) {
+            traceCacheDir(argc, argv, i); // skip the directory
+            continue;
+        }
         if (std::strcmp(arg, "--no-trace-cache") == 0 ||
-            spellingOf(arg, "--trace-cache") != Spelling::None)
+            spellingOf(arg, "--trace-cache") == Spelling::Inline)
             continue;
         Spelling spelling = Spelling::None;
         for (const char *flag : valueFlags)

@@ -39,8 +39,10 @@ constexpr uint64_t defaultSeed = 0x5eed2007;
  *  - `--jobs N` / `-j N` / `--jobs=N` / `-jN`: experiment worker
  *    count (default: TDP_JOBS, held to the same rule, else the
  *    hardware concurrency);
- *  - `--trace-cache` / `--trace-cache=DIR`: enable the trace cache
- *    (default directory `.tdp-trace-cache` when no DIR is given).
+ *  - `--trace-cache` / `--trace-cache DIR` / `--trace-cache=DIR`:
+ *    enable the trace cache (default directory `.tdp-trace-cache`
+ *    when no DIR is given; after a bare `--trace-cache`, a next
+ *    argument that does not start with '-' is the DIR).
  *    runTraces() stores each trace as soon as it is simulated, so
  *    re-running a killed batch with the same cache simulates only
  *    the runs that never finished;

@@ -93,6 +93,34 @@ rateOf(RateForm form, double x, double cycles, double cpus)
 }
 
 /**
+ * Rates of form @p Form summed across CPUs (and squared, then summed)
+ * per sample, for @p count samples of @p cpus CPUs. Count k of CPU c
+ * in sample i is x[i * rowStride + c * cpuStride]. The form is fixed
+ * at compile time, so the per-sample loop holds only the division.
+ */
+template <RateForm Form>
+void
+sumRates(const double *x, size_t rowStride, size_t cpuStride,
+         const double *cycles, size_t cpus, size_t count,
+         double *totals, double *squares)
+{
+    const double cpu_count = static_cast<double>(cpus);
+    for (size_t i = 0; i < count; ++i) {
+        double total = 0.0;
+        double square_sum = 0.0;
+        for (size_t c = 0; c < cpus; ++c) {
+            const double rate =
+                rateOf(Form, x[i * rowStride + c * cpuStride],
+                       cycles[i * cpus + c], cpu_count);
+            total += rate;
+            square_sum += rate * rate;
+        }
+        totals[i] = total;
+        squares[i] = square_sum;
+    }
+}
+
+/**
  * True when every |x[k]| of @p count values is at most @p bound (so
  * none is NaN or infinite): their sum, which rounding never takes
  * below any of its non-negative terms, stays within it. Four partial
@@ -273,25 +301,26 @@ TraceRates::field(size_t f) const
         return out;
     const RateSpec &spec = rateSpecs[f];
     const size_t n = trace_.cpuCount();
-    const double cpus = static_cast<double>(n);
     const double *cycles =
         trace_.column(counterColumn(PerfEvent::Cycles)).data();
     const double *x = trace_.column(spec.column).data();
     out.totals.resize(derived_);
     out.squares.resize(derived_);
-    for (size_t i = 0; i < derived_; ++i) {
-        double total = 0.0;
-        double squares = 0.0;
-        for (size_t c = 0; c < n; ++c) {
-            const size_t k = i * n + c;
-            const double rate = rateOf(
-                spec.form, x[perSample(spec) ? i : k], cycles[k], cpus);
-            total += rate;
-            squares += rate * rate;
-        }
-        out.totals[i] = total;
-        out.squares[i] = squares;
+    // A system-wide count is one per sample, read by every CPU.
+    const size_t row_stride = perSample(spec) ? 1 : n;
+    const size_t cpu_stride = perSample(spec) ? 0 : 1;
+    decltype(&sumRates<RateForm::Cycles>) sum = nullptr;
+    switch (spec.form) {
+      case RateForm::Cycles: sum = sumRates<RateForm::Cycles>; break;
+      case RateForm::Active: sum = sumRates<RateForm::Active>; break;
+      case RateForm::PerCycle: sum = sumRates<RateForm::PerCycle>; break;
+      case RateForm::PerMcycle: sum = sumRates<RateForm::PerMcycle>; break;
+      case RateForm::PerCpuPerCycle:
+        sum = sumRates<RateForm::PerCpuPerCycle>;
+        break;
     }
+    sum(x, row_stride, cpu_stride, cycles, n, derived_, out.totals.data(),
+        out.squares.data());
     out.ready = true;
     return out;
 }

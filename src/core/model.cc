@@ -172,10 +172,10 @@ CpuPowerModel::describe() const
         intercept_, activeCoef_, uopCoef_);
 }
 
-std::vector<double>
-CpuPowerModel::coefficients() const
+void
+CpuPowerModel::coefficientsInto(std::vector<double> &out) const
 {
-    return {intercept_, activeCoef_, uopCoef_};
+    out.assign({intercept_, activeCoef_, uopCoef_});
 }
 
 void
@@ -238,10 +238,10 @@ QuadraticEventModel::describe() const
         name_.c_str());
 }
 
-std::vector<double>
-QuadraticEventModel::coefficients() const
+void
+QuadraticEventModel::coefficientsInto(std::vector<double> &out) const
 {
-    return {intercept_, linear_, quadratic_};
+    out.assign({intercept_, linear_, quadratic_});
 }
 
 void
@@ -337,11 +337,11 @@ DiskPowerModel::describe() const
         dmaQuadratic_);
 }
 
-std::vector<double>
-DiskPowerModel::coefficients() const
+void
+DiskPowerModel::coefficientsInto(std::vector<double> &out) const
 {
-    return {intercept_, irqLinear_, irqQuadratic_, dmaLinear_,
-            dmaQuadratic_};
+    out.assign({intercept_, irqLinear_, irqQuadratic_, dmaLinear_,
+                dmaQuadratic_});
 }
 
 void
@@ -411,10 +411,10 @@ ConstantPowerModel::describe() const
                         constant_);
 }
 
-std::vector<double>
-ConstantPowerModel::coefficients() const
+void
+ConstantPowerModel::coefficientsInto(std::vector<double> &out) const
 {
-    return {constant_};
+    out.assign({constant_});
 }
 
 void

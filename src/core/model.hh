@@ -64,7 +64,19 @@ class SubsystemModel
     virtual std::string describe() const = 0;
 
     /** Flat coefficient list (intercept first), for serialisation. */
-    virtual std::vector<double> coefficients() const = 0;
+    std::vector<double>
+    coefficients() const
+    {
+        std::vector<double> out;
+        coefficientsInto(out);
+        return out;
+    }
+
+    /**
+     * coefficients() into @p out, reusing its storage: no allocation
+     * once @p out has held as many.
+     */
+    virtual void coefficientsInto(std::vector<double> &out) const = 0;
 
     /** Restore from a flat coefficient list. */
     virtual void setCoefficients(const std::vector<double> &coeffs) = 0;
@@ -88,7 +100,7 @@ class CpuPowerModel : public SubsystemModel
     void fit(const TraceRates &rates) override;
     bool trained() const override { return trained_; }
     std::string describe() const override;
-    std::vector<double> coefficients() const override;
+    void coefficientsInto(std::vector<double> &out) const override;
     void setCoefficients(const std::vector<double> &coeffs) override;
 
     /**
@@ -138,7 +150,7 @@ class QuadraticEventModel : public SubsystemModel
     void fit(const TraceRates &rates) override;
     bool trained() const override { return trained_; }
     std::string describe() const override;
-    std::vector<double> coefficients() const override;
+    void coefficientsInto(std::vector<double> &out) const override;
     void setCoefficients(const std::vector<double> &coeffs) override;
 
   private:
@@ -184,7 +196,7 @@ class DiskPowerModel : public SubsystemModel
     void fit(const TraceRates &rates) override;
     bool trained() const override { return trained_; }
     std::string describe() const override;
-    std::vector<double> coefficients() const override;
+    void coefficientsInto(std::vector<double> &out) const override;
     void setCoefficients(const std::vector<double> &coeffs) override;
 
   private:
@@ -226,7 +238,7 @@ class ConstantPowerModel : public SubsystemModel
     void fit(const TraceRates &rates) override;
     bool trained() const override { return trained_; }
     std::string describe() const override;
-    std::vector<double> coefficients() const override;
+    void coefficientsInto(std::vector<double> &out) const override;
     void setCoefficients(const std::vector<double> &coeffs) override;
 
   private:

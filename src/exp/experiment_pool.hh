@@ -18,11 +18,28 @@
  *
  * Worker count resolution: an explicit count wins, else the TDP_JOBS
  * environment variable, else the hardware concurrency.
+ *
+ * Helper threads: the caller of forEach() is one worker; the other
+ * min(jobs(), n) - 1 are helper threads. Helpers are started on first
+ * need and then parked between calls, in one set shared by every pool
+ * of the process, so a sweep that calls a pool once per pass pays a
+ * wake-up per pass rather than a thread start and join per worker,
+ * and two pools alive at once reuse the same threads (and their
+ * allocator arenas). The set only grows to the most helpers that
+ * calls running at the same time have needed. A child process forked
+ * after helpers started starts its own on its first call.
+ *
+ * Re-entrancy: one call at a time per pool dispatches to helpers. A
+ * call made on a pool while another call on it is in progress - from
+ * inside one of its own jobs, or from another thread - runs inline on
+ * its caller's thread, with the results and error reporting of a
+ * 1-worker pool.
  */
 
 #ifndef TDP_EXP_EXPERIMENT_POOL_HH
 #define TDP_EXP_EXPERIMENT_POOL_HH
 
+#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <vector>
@@ -52,11 +69,14 @@ class ExperimentPool
 
     /**
      * Run fn(i) for every i in [0, n), blocking until all jobs
-     * finish. Jobs are claimed from an atomic cursor, so scheduling
+     * finish. The caller works alongside up to min(jobs(), n) - 1
+     * helpers. Jobs are claimed from an atomic cursor, so scheduling
      * is dynamic but job identity (and thus behaviour) never depends
      * on the worker. If any job throws, the exception of the
      * lowest-indexed failing job is rethrown after all workers have
-     * drained (deterministic error reporting).
+     * drained (deterministic error reporting). A call made while
+     * another call on this pool is in progress runs inline (see the
+     * file comment).
      */
     void forEach(size_t n, const std::function<void(size_t)> &fn) const;
 
@@ -75,6 +95,9 @@ class ExperimentPool
 
   private:
     int jobs_;
+
+    /** True while a call on this pool runs on helpers. */
+    mutable std::atomic<bool> dispatching_{false};
 };
 
 } // namespace tdp

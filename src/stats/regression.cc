@@ -85,9 +85,9 @@ class ColumnsSource : public DesignSource
  * Validation and standardisation preamble of the QR fit kernel:
  * shape checks, the loud non-finite refusal, and the per-regressor
  * shift/scale. The design matrix is filled (raw) as the single pass
- * over the source runs; the stats are then computed from it
- * column-major, in exactly the element order the pre-streaming code
- * used, keeping the QR path bit-identical.
+ * over the source runs; the stats are then computed from it, each
+ * column's in row order as the pre-streaming code added them,
+ * keeping the QR path bit-identical.
  */
 void
 prepareFit(const DesignSource &source, std::vector<double> &y,
@@ -132,12 +132,17 @@ prepareFit(const DesignSource &source, std::vector<double> &y,
                       c, r);
         }
     }
+    // Row-major, one accumulator per column: each column still sees
+    // its samples in row order, so the stats are bit-identical to a
+    // column-by-column pass, while the columns' division chains
+    // overlap.
+    std::vector<RunningStats> stats(k);
+    for (size_t r = 0; r < n; ++r)
+        for (size_t c = 0; c < k; ++c)
+            stats[c].add(design(r, c + 1));
     for (size_t c = 0; c < k; ++c) {
-        RunningStats s;
-        for (size_t r = 0; r < n; ++r)
-            s.add(design(r, c + 1));
-        shift[c] = s.mean();
-        scale[c] = s.stddev() > 1e-12 ? s.stddev() : 1.0;
+        shift[c] = stats[c].mean();
+        scale[c] = stats[c].stddev() > 1e-12 ? stats[c].stddev() : 1.0;
     }
     for (size_t r = 0; r < n; ++r)
         for (size_t c = 0; c < k; ++c)
@@ -175,7 +180,8 @@ fitOls(const DesignSource &source)
     Matrix design(n == 0 ? 1 : n, k + 1);
     prepareFit(source, y, design, shift, scale);
 
-    const std::vector<double> beta = solveLeastSquaresQr(design, y);
+    const std::vector<double> beta =
+        solveLeastSquaresQr(std::move(design), y);
     FitResult fit = unstandardize(beta, shift, scale);
     finalizeGoodness(source, y, fit);
     return fit;

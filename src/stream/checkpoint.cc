@@ -808,10 +808,9 @@ StreamService::checkpointSaveService(CheckpointWriter &w) const
         state.rls->checkpointSave(w);
         // The primary model refits at runtime; its live coefficients
         // are state. (The chipset's intercept-only fit included.)
-        const std::vector<double> coefs =
-            est_.model(rail).coefficients();
-        w.u32(static_cast<uint32_t>(coefs.size()));
-        for (const double c : coefs)
+        est_.model(rail).coefficientsInto(coefScratch_);
+        w.u32(static_cast<uint32_t>(coefScratch_.size()));
+        for (const double c : coefScratch_)
             w.f64(c);
     }
 }

@@ -343,8 +343,11 @@ class StreamService
 
     std::array<RailState, numRails> rails_;
 
-    /** Reused flattened-coefficient buffer (applyCoefficients). */
-    std::vector<double> coefScratch_;
+    /**
+     * Reused flattened-coefficient buffer (applyCoefficients and the
+     * checkpoint encode), so neither allocates once warm.
+     */
+    mutable std::vector<double> coefScratch_;
 
     uint64_t now_ = 0;
     uint64_t digest_;

@@ -52,7 +52,12 @@ TEST(BenchArgs, JobsShorthandAndCacheSwitchesAreDropped)
 {
     EXPECT_EQ(positional({"-j", "4", "pos"}), Args{"pos"});
     EXPECT_EQ(positional({"-j4", "pos"}), Args{"pos"});
-    EXPECT_EQ(positional({"--trace-cache", "pos"}), Args{"pos"});
+    EXPECT_EQ(positional({"pos", "--trace-cache"}), Args{"pos"});
+    // A bare cache switch takes a next argument that is not a flag as
+    // its directory, as `--trace-out FILE` takes its file.
+    EXPECT_EQ(positional({"--trace-cache", "dir", "pos"}), Args{"pos"});
+    EXPECT_EQ(positional({"--trace-cache", "--fmt", "pos"}),
+              (Args{"--fmt", "pos"}));
     EXPECT_EQ(positional({"--trace-cache=dir", "pos"}), Args{"pos"});
     EXPECT_EQ(positional({"--no-trace-cache", "pos"}), Args{"pos"});
 }
@@ -61,7 +66,7 @@ TEST(BenchArgs, OtherArgumentsPassThroughInOrder)
 {
     EXPECT_EQ(positional({}), Args{});
     EXPECT_EQ(positional({"gcc", "-j2", "8", "--jobs=3", "--format",
-                          "bin", "--trace-cache", "30",
+                          "bin", "30", "--trace-cache",
                           "--manifest-out", "m.json", "--read=x"}),
               (Args{"gcc", "8", "--format", "bin", "30", "--read=x"}));
     // Look-alikes of shared flags belong to the binary.

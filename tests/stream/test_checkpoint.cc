@@ -488,6 +488,32 @@ TEST(StreamCheckpoint, FingerprintIsComputedOnce)
     EXPECT_EQ(fingerprint, twin.checkpointFingerprint());
 }
 
+/**
+ * Once warm, a checkpoint allocates nothing: the encode reuses the
+ * checkpointer's file buffer and writes each rail's coefficients from
+ * the service's scratch buffer, and the writer thread's publish
+ * allocates nothing after its first.
+ */
+TEST(StreamCheckpoint, WarmWriteNowIsAllocationFree)
+{
+    const std::string base = freshBase("warm-alloc");
+    const int clients = 8;
+    StreamService service(baseConfig(), trainedEstimator());
+    const ExperimentPool pool(1);
+    Fleet fleet(clients, 40);
+    runRounds(service, fleet, clients, 0, 40, pool);
+    ASSERT_GT(service.railStatus(Rail::Cpu).refits, 0u);
+
+    StreamCheckpointer checkpointer(service, base, 1000);
+    ASSERT_TRUE(checkpointer.writeNow());
+    ASSERT_TRUE(checkpointer.writeNow());
+    const uint64_t before = ::tdp::testutil::allocationCount();
+    ASSERT_TRUE(checkpointer.writeNow());
+    if (::tdp::testutil::allocationHookActive()) {
+        EXPECT_EQ(::tdp::testutil::allocationCount() - before, 0u);
+    }
+}
+
 TEST(StreamCheckpoint, RestoreRequiresFreshService)
 {
     const std::string base = freshBase("used");
