@@ -136,11 +136,15 @@ CpuCore::executeQuantum(const CoreQuantumInputs &inputs, Tick quantum)
     const double v2 = v * v;
     const double gating =
         presence_total > 0.0 ? gating_weight / presence_total : 0.0;
-    // pow(1, y) is exactly 1; fully occupied cores skip the libm call.
-    const double active_scale =
-        active == 1.0 ? 1.0 : std::pow(active, 0.90);
+    // pow is pure and a core's active fraction takes few distinct
+    // values, mostly repeating the previous quantum's (1 when fully
+    // occupied), so the last input and output are kept.
+    if (active != powInput_) {
+        powInput_ = active;
+        powOutput_ = std::pow(active, 0.90);
+    }
     const double dynamic =
-        params_.activePower * active_scale * (1.0 - gating) +
+        params_.activePower * powOutput_ * (1.0 - gating) +
         params_.powerPerUopPerCycle * (uops_per_cycle + spec_uops_rate);
     Watts power = params_.haltedPower * v2 + dynamic * s * v2;
     power += rng_.gaussian(0.0, params_.powerNoiseSigma);

@@ -167,6 +167,9 @@ class CpuCore
     Watts lastPower_ = 0.0;
     double lastActiveFraction_ = 0.0;
     double lastUopsPerCycle_ = 0.0;
+    /** Last pow(active, 0.90) input and result; pow(1, y) is 1. */
+    double powInput_ = 1.0;
+    double powOutput_ = 1.0;
 };
 
 } // namespace tdp

@@ -9,7 +9,6 @@
 #include <limits>
 
 #include "common/logging.hh"
-#include "obs/span_tracer.hh"
 
 namespace tdp {
 
@@ -17,10 +16,6 @@ void
 TraceAligner::drainInto(std::deque<CounterReading> &readings,
                         SampleTrace &out)
 {
-    obs::TraceSpan span("measure", "align");
-    const uint64_t aligned_before = aligned_;
-    const uint64_t resynced_before = resyncedWindows_;
-
     auto &pulses = daq_.pulses();
     auto &blocks = daq_.blocks();
     const Seconds tolerance =
@@ -53,8 +48,9 @@ TraceAligner::drainInto(std::deque<CounterReading> &readings,
             readings.pop_front();
             ++orphanReadings_;
         }
-        // The matching reading may simply not have been drained yet
-        // (collect() is incremental); leave the window queued.
+        // The matching reading may not exist yet: the rig drains at
+        // each pulse, before that pulse's reading is queued. Leave
+        // the window queued.
         if (readings.empty())
             break;
 
@@ -134,15 +130,6 @@ TraceAligner::drainInto(std::deque<CounterReading> &readings,
         out.add(std::move(sample));
         ++aligned_;
     }
-
-    // Resyncs are the interesting recovery signal; surface them on
-    // the span next to the windows aligned by this drain.
-    span.arg(resyncedWindows_ > resynced_before ? "resyncs"
-                                                : "windows",
-             resyncedWindows_ > resynced_before
-                 ? static_cast<double>(resyncedWindows_ -
-                                       resynced_before)
-                 : static_cast<double>(aligned_ - aligned_before));
 }
 
 } // namespace tdp

@@ -1,9 +1,12 @@
 /**
  * @file
- * Offline trace alignment (paper section 3.1.2): the single-byte
- * serial pulse recorded by the DAQ marks each counter sampling, and
- * the power samples between two consecutive pulses are averaged to
- * pair with the counter deltas of that window.
+ * Trace alignment (paper section 3.1.2): the single-byte serial pulse
+ * recorded by the DAQ marks each counter sampling, and the power
+ * samples between two consecutive pulses are averaged to pair with
+ * the counter deltas of that window. Draining is incremental: one
+ * drain at the end of a run and a drain after every pulse produce
+ * the same trace bit for bit, which lets the rig align each window
+ * as its pulse lands and keep only about two windows of DAQ blocks.
  *
  * The real pipeline loses pulses, duplicates pulses and drops
  * readings; a naive positional pairing then silently marries window
@@ -65,7 +68,8 @@ class TraceAligner
      * and every matching counter reading, appending aligned samples
      * to the trace. Incomplete trailing windows stay queued;
      * permanently unmatchable leftovers are discarded and counted in
-     * the accessors below.
+     * the accessors below. Records no span: it runs at every sync
+     * pulse, and MeasurementRig::collect() times the tail.
      */
     void drainInto(std::deque<CounterReading> &readings,
                    SampleTrace &out);

@@ -73,6 +73,10 @@ CounterSampler::takeSample()
     lastIrq_ = irq_now;
     lastSampleTime_ = now;
 
+    // The order below is fixed: pulse, drop draw, queue. Pulse and
+    // reading faults draw from one FaultInjector stream, so moving a
+    // draw changes every later fault; and the rig aligns inside
+    // onPulse_, before this reading is queued.
     if (onPulse_)
         onPulse_();
 

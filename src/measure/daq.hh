@@ -7,7 +7,8 @@
  * To bound memory on hour-long traces, the DAQ stores per-quantum
  * averaged blocks rather than raw conversions; the averaging of the
  * raw 10 kHz stream is performed inside RailChannel with exact noise
- * statistics.
+ * statistics. MeasurementRig aligns at every sync pulse, which drains
+ * the blocks, so the queue holds about two sampling periods.
  */
 
 #ifndef TDP_MEASURE_DAQ_HH

@@ -5,6 +5,7 @@
 
 #include "measure/rig.hh"
 
+#include "obs/span_tracer.hh"
 #include "obs/stats_registry.hh"
 
 namespace tdp {
@@ -57,11 +58,21 @@ MeasurementRig::MeasurementRig(System &system, const std::string &name,
                   : nullptr),
       daq_(system, name + ".daq", params.daq, faults_.get()),
       sampler_(system, name + ".sampler", cpus, irq_controller,
-               disk_vector, timer_vector, [this] { emitPulse(); },
+               disk_vector, timer_vector, [this] { onSample(); },
                params.sampler, faults_.get()),
       aligner_(daq_, TraceAligner::Params{params.sampler.period, 0.25,
                                           0.5})
 {
+}
+
+void
+MeasurementRig::onSample()
+{
+    emitPulse();
+    // The sampler queues this read's reading after the pulse, so the
+    // drain aligns up to the previous window; draining at every pulse
+    // gives the same trace as one drain at the end.
+    aligner_.drainInto(sampler_.readings(), trace_);
 }
 
 void
@@ -106,7 +117,14 @@ MeasurementRig::attachRail(Rail rail, std::function<Watts()> provider)
 const SampleTrace &
 MeasurementRig::collect()
 {
+    obs::TraceSpan span("measure", "align");
     aligner_.drainInto(sampler_.readings(), trace_);
+    // Most windows were aligned at their pulses; the span reports
+    // the run's totals, resyncs when there were any.
+    const uint64_t resyncs = aligner_.resyncedWindows();
+    span.arg(resyncs > 0 ? "resyncs" : "windows",
+             static_cast<double>(resyncs > 0 ? resyncs
+                                             : aligner_.alignedCount()));
     return trace_;
 }
 

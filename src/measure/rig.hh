@@ -3,8 +3,12 @@
  * Measurement rig: the whole instrumentation harness of the paper's
  * methodology section in one object - sense resistors + DAQ on the
  * five rails, the on-target counter sampler with its serial sync
- * pulse, and the offline aligner producing the training/validation
- * trace.
+ * pulse, and the aligner producing the training/validation trace.
+ *
+ * Alignment runs as each sync pulse goes out, as the paper's DAQ
+ * averages each 1 s window when its pulse arrives, so a run holds
+ * about two sampling periods of DAQ blocks rather than its whole
+ * duration; collect() only drains the tail.
  */
 
 #ifndef TDP_MEASURE_RIG_HH
@@ -63,8 +67,8 @@ class MeasurementRig : public SimObject
     void attachRail(Rail rail, std::function<Watts()> provider);
 
     /**
-     * Align everything recorded so far and return the trace. Callable
-     * repeatedly; the trace grows monotonically.
+     * Align everything recorded since the last sync pulse and return
+     * the trace. Callable repeatedly; the trace grows monotonically.
      */
     const SampleTrace &collect();
 
@@ -84,6 +88,9 @@ class MeasurementRig : public SimObject
     void recordStats(obs::StatsRegistry &stats) const override;
 
   private:
+    /** The sampler's read: send the sync byte, then align. */
+    void onSample();
+
     /** Deliver one sync byte through the fault model. */
     void emitPulse();
 

@@ -20,14 +20,6 @@ namespace {
 
 std::atomic<uint64_t> nextTracerEpoch{1};
 
-struct RingCacheEntry
-{
-    uint64_t epoch;
-    void *ring;
-};
-
-thread_local std::vector<RingCacheEntry> ringCache;
-
 /** Copy a view into a fixed char field, truncating with NUL. */
 template <size_t N>
 void
@@ -39,6 +31,19 @@ copyField(char (&dst)[N], std::string_view src)
 }
 
 } // namespace
+
+thread_local SpanTracer::RingCache SpanTracer::ringCache_;
+
+SpanTracer::RingCache::~RingCache()
+{
+    // The ring keeps its unflushed spans; the next thread appends.
+    for (const CachedRing &entry : entries) {
+        if (const auto idle = entry.idle.lock()) {
+            std::lock_guard<std::mutex> lock(idle->mutex);
+            idle->rings.push_back(entry.ring);
+        }
+    }
+}
 
 SpanTracer &
 SpanTracer::global()
@@ -97,18 +102,25 @@ SpanTracer::localRing()
         }
     }
 
-    for (const RingCacheEntry &entry : ringCache)
+    for (const CachedRing &entry : ringCache_.entries)
         if (entry.epoch == epoch)
-            return *static_cast<Ring *>(entry.ring);
+            return *entry.ring;
 
-    Ring *raw;
+    Ring *raw = nullptr;
     {
+        std::lock_guard<std::mutex> idle_lock(idle_->mutex);
+        if (!idle_->rings.empty()) {
+            raw = idle_->rings.back();
+            idle_->rings.pop_back();
+        }
+    }
+    if (!raw) {
         std::lock_guard<std::mutex> lock(mutex_);
         auto ring = std::make_unique<Ring>(ringCapacity_);
         raw = ring.get();
         rings_.push_back(std::move(ring));
     }
-    ringCache.push_back(RingCacheEntry{epoch, raw});
+    ringCache_.entries.push_back(CachedRing{epoch, raw, idle_});
     return *raw;
 }
 
@@ -165,6 +177,7 @@ SpanTracer::stats() const
         totals.dropped += ring->dropped;
         totals.recorded += ring->recorded;
     }
+    totals.rings = rings_.size();
     return totals;
 }
 

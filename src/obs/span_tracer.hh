@@ -90,6 +90,12 @@ class SpanTracer
 
         /** Spans recorded since the tracer was enabled. */
         uint64_t recorded = 0;
+
+        /**
+         * Rings allocated: at most one per thread recording at once,
+         * since an exited thread's ring is reused by the next one.
+         */
+        uint64_t rings = 0;
     };
 
     SpanTracer() = default;
@@ -160,6 +166,34 @@ class SpanTracer
         uint64_t recorded = 0;
     };
 
+    /**
+     * Rings whose threads exited, awaiting the next new recording
+     * thread. Shared with the threads' ring caches, so a thread that
+     * exits after its tracer is gone touches only this list.
+     */
+    struct IdleRings
+    {
+        std::mutex mutex;
+        std::vector<Ring *> rings;
+    };
+
+    /** One tracer's ring in a thread's cache. */
+    struct CachedRing
+    {
+        uint64_t epoch;
+        Ring *ring;
+        std::weak_ptr<IdleRings> idle;
+    };
+
+    /** A thread's rings; handed back to their tracers on exit. */
+    struct RingCache
+    {
+        std::vector<CachedRing> entries;
+        ~RingCache();
+    };
+
+    static thread_local RingCache ringCache_;
+
     Ring &localRing();
 
     std::atomic<bool> enabled_{false};
@@ -167,6 +201,7 @@ class SpanTracer
     mutable std::mutex mutex_;
     std::string path_;
     std::vector<std::unique_ptr<Ring>> rings_;
+    std::shared_ptr<IdleRings> idle_ = std::make_shared<IdleRings>();
     size_t ringCapacity_ = 16384;
     uint32_t nextTid_ = 1;
 

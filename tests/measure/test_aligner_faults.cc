@@ -3,16 +3,23 @@
  * Direct-queue tests for the trace aligner's fault recovery: orphan
  * windows/readings, duplicate-pulse merging, resynchronisation after
  * a missed pulse, glitch filtering and the leftover accessors. The
- * DAQ queues are populated by hand so each scenario is exact.
+ * DAQ queues are populated by hand so each scenario is exact. The
+ * same scenarios, replayed in time order, show that draining after
+ * every pulse (as the rig does) equals one drain at the end.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <deque>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/random.hh"
 #include "measure/aligner.hh"
+#include "measure/trace_io.hh"
 
 namespace tdp {
 namespace {
@@ -303,6 +310,211 @@ TEST_F(AlignerFaults, AccountingAccumulatesAcrossDrains)
     EXPECT_EQ(aligner_.orphanWindows(), 1u);
     EXPECT_EQ(aligner_.orphanReadings(), 1u);
     EXPECT_EQ(aligner_.resyncedWindows(), 1u);
+}
+
+/** One timed input of a replayed scenario. */
+struct ScriptEvent
+{
+    /** Replay order of inputs sharing a time stamp. */
+    enum Kind { Block, Pulse, Reading };
+
+    Kind kind;
+    Seconds time;
+    std::array<float, numRails> watts{};
+};
+
+/** A scenario's inputs, sorted into the order a run produces them. */
+struct Script
+{
+    explicit Script(std::string script_name) : name(std::move(script_name))
+    {
+    }
+
+    std::string name;
+    std::vector<ScriptEvent> events;
+
+    Script &
+    pulses(std::initializer_list<Seconds> times)
+    {
+        for (Seconds t : times)
+            events.push_back({ScriptEvent::Pulse, t});
+        return *this;
+    }
+
+    Script &
+    readings(std::initializer_list<Seconds> times)
+    {
+        for (Seconds t : times)
+            events.push_back({ScriptEvent::Reading, t});
+        return *this;
+    }
+
+    /** 0.1 s blocks over [from, to), @p glitch_every-th one NaN. */
+    Script &
+    blocks(Seconds from, Seconds to, float watts, int glitch_every = 0)
+    {
+        const int n = static_cast<int>(std::lround((to - from) / 0.1));
+        for (int i = 0; i < n; ++i) {
+            ScriptEvent e{ScriptEvent::Block, from + 0.1 * i};
+            e.watts.fill(watts);
+            if (glitch_every > 0 && i % glitch_every == 0)
+                e.watts[0] = std::numeric_limits<float>::quiet_NaN();
+            events.push_back(e);
+        }
+        return *this;
+    }
+
+    /**
+     * Time order; at one instant a block comes first, then the pulse,
+     * then the reading - the sampler queues its reading after the
+     * pulse it sent.
+     */
+    Script &
+    sorted()
+    {
+        std::stable_sort(events.begin(), events.end(),
+                         [](const ScriptEvent &a, const ScriptEvent &b) {
+                             return a.time != b.time ? a.time < b.time
+                                                     : a.kind < b.kind;
+                         });
+        return *this;
+    }
+};
+
+/** A DAQ, aligner and reading queue fed from a script. */
+struct Replay
+{
+    Replay(System &system, const std::string &name)
+        : daq(system, name, DataAcquisition::Params{}), aligner(daq)
+    {
+    }
+
+    /** Feed every event; drain after each pulse when asked to. */
+    void
+    run(const Script &script, bool drain_at_pulse)
+    {
+        for (const ScriptEvent &e : script.events) {
+            switch (e.kind) {
+              case ScriptEvent::Block:
+                daq.blocks().push_back(DaqBlock{
+                    secondsToTicks(e.time), secondsToTicks(0.1),
+                    e.watts});
+                break;
+              case ScriptEvent::Pulse:
+                daq.pulses().push_back(secondsToTicks(e.time));
+                if (drain_at_pulse)
+                    aligner.drainInto(readings, trace);
+                break;
+              case ScriptEvent::Reading: {
+                CounterReading reading;
+                reading.time = e.time;
+                reading.interval = 1.0;
+                reading.perCpu.resize(1);
+                reading.perCpu[0][PerfEvent::Cycles] = 2.8e9 * e.time;
+                readings.push_back(std::move(reading));
+                break;
+              }
+            }
+        }
+        aligner.drainInto(readings, trace);
+    }
+
+    DataAcquisition daq;
+    TraceAligner aligner;
+    std::deque<CounterReading> readings;
+    SampleTrace trace;
+};
+
+/**
+ * A seeded 120 s stream with every fault the rig injects: missed and
+ * duplicated pulses, dropped readings and glitched blocks.
+ */
+Script
+randomFaultScript()
+{
+    Rng rng(0xA119);
+    Script script("random faults");
+    script.pulses({0.0});
+    for (int k = 1; k <= 120; ++k) {
+        const Seconds t = k + rng.uniform(-1.5e-3, 1.5e-3);
+        const double fault = rng.uniform();
+        if (fault >= 0.05)
+            script.pulses({t});
+        if (fault >= 0.05 && fault < 0.10)
+            script.pulses({t + 2e-3});
+        if (fault < 0.10 || fault >= 0.15)
+            script.readings({t});
+        script.blocks(k - 1.0, k, 30.0f + 10.0f * rng.uniform(),
+                      rng.uniform() < 0.2 ? 3 : 0);
+    }
+    return script;
+}
+
+TEST_F(AlignerFaults, DrainAfterEveryPulseEqualsOneDrain)
+{
+    std::vector<Script> scripts;
+    scripts.push_back(Script("missed pulse")
+                          .pulses({0.0, 1.0, 3.0})
+                          .readings({1.0, 2.0, 3.0})
+                          .blocks(0.0, 1.0, 20.0f)
+                          .blocks(1.0, 2.0, 10.0f)
+                          .blocks(2.0, 3.0, 50.0f));
+    scripts.push_back(Script("duplicate edge")
+                          .pulses({0.0, 1.0, 1.001, 2.0})
+                          .readings({1.0, 2.0})
+                          .blocks(0.0, 2.0, 40.0f));
+    scripts.push_back(Script("dropped reading")
+                          .pulses({0.0, 1.0, 2.0, 3.0})
+                          .readings({1.0, 3.0})
+                          .blocks(0.0, 3.0, 40.0f));
+    scripts.push_back(Script("glitch")
+                          .pulses({0.0, 1.0, 2.0})
+                          .readings({1.0, 2.0})
+                          .blocks(0.0, 2.0, 40.0f, 4));
+    scripts.push_back(Script("orphan reading burst")
+                          .pulses({4.0, 5.0, 6.0, 7.0})
+                          .readings({1.0, 2.0, 3.0, 5.0, 6.0, 7.0})
+                          .blocks(4.0, 7.0, 40.0f));
+    scripts.push_back(Script("orphan window burst")
+                          .pulses({0.0, 1.0, 2.0, 3.0, 4.0, 5.0})
+                          .readings({4.0, 5.0})
+                          .blocks(0.0, 3.0, 20.0f)
+                          .blocks(3.0, 5.0, 40.0f));
+    scripts.push_back(randomFaultScript());
+    const Script &random = scripts.back();
+
+    for (Script &script : scripts) {
+        SCOPED_TRACE(script.name);
+        script.sorted();
+        System system(1);
+        Replay once(system, "daq.once");
+        Replay streamed(system, "daq.streamed");
+        once.run(script, false);
+        streamed.run(script, true);
+
+        ASSERT_GT(once.trace.size(), 0u);
+        EXPECT_TRUE(traceBitIdentical(once.trace, streamed.trace));
+        const TraceAligner &a = once.aligner;
+        const TraceAligner &b = streamed.aligner;
+        EXPECT_EQ(a.alignedCount(), b.alignedCount());
+        EXPECT_EQ(a.orphanWindows(), b.orphanWindows());
+        EXPECT_EQ(a.orphanReadings(), b.orphanReadings());
+        EXPECT_EQ(a.duplicatePulses(), b.duplicatePulses());
+        EXPECT_EQ(a.resyncedWindows(), b.resyncedWindows());
+        EXPECT_EQ(a.emptyWindows(), b.emptyWindows());
+        EXPECT_EQ(a.glitchValuesDiscarded(), b.glitchValuesDiscarded());
+        EXPECT_EQ(once.daq.blocks().size(), streamed.daq.blocks().size());
+        EXPECT_EQ(once.daq.pulses().size(), streamed.daq.pulses().size());
+        EXPECT_EQ(once.readings.size(), streamed.readings.size());
+        if (&script == &random) {
+            // The seeded stream reaches every recovery path.
+            EXPECT_GT(a.orphanWindows(), 0u);
+            EXPECT_GT(a.orphanReadings(), 0u);
+            EXPECT_GT(a.duplicatePulses(), 0u);
+            EXPECT_GT(a.resyncedWindows(), 0u);
+            EXPECT_GT(a.glitchValuesDiscarded(), 0u);
+        }
+    }
 }
 
 } // namespace

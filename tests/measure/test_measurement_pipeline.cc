@@ -94,6 +94,23 @@ TEST(MeasurementPipeline, CollectIsIncrementalAndIdempotent)
     EXPECT_GT(server.rig().collect().size(), first);
 }
 
+TEST(MeasurementPipeline, DaqHoldsAtMostTwoWindows)
+{
+    // The rig aligns at every sync pulse, so the DAQ holds the window
+    // waiting for its reading and the open one, not the whole run.
+    Server server(9);
+    server.run(60.0);
+    const CounterSampler::Params sampling;
+    const Seconds quantum = ticksToSeconds(server.system().quantum());
+    const double bound =
+        2.0 * (sampling.period + sampling.jitter) / quantum + 1.0;
+    EXPECT_LE(static_cast<double>(server.rig().daq().blocks().size()),
+              bound);
+    EXPECT_LE(server.rig().daq().pulses().size(), 3u);
+    // Aligned already, before any collect().
+    EXPECT_GE(server.rig().trace().size(), 58u);
+}
+
 TEST(MeasurementPipeline, OsInterruptDeltasMatchTimerRate)
 {
     Server server(7);

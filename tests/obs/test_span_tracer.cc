@@ -1,8 +1,9 @@
 /**
  * @file
  * SpanTracer tests: trace-event JSON output (validated with Python's
- * stdlib JSON parser when available), ring overflow accounting, and
- * the disabled fast path of TraceSpan.
+ * stdlib JSON parser when available), ring overflow accounting, ring
+ * reuse across short-lived threads, and the disabled fast path of
+ * TraceSpan.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "obs/span_tracer.hh"
 
@@ -114,6 +117,42 @@ TEST(SpanTracer, RingOverflowDropsOldest)
     // The survivors are the newest four spans (ts 6..9 us).
     EXPECT_EQ(json.find("\"ts\":5"), std::string::npos);
     EXPECT_NE(json.find("\"ts\":9"), std::string::npos);
+    std::remove(path.c_str());
+}
+
+TEST(SpanTracer, ExitedThreadsHandTheirRingsOn)
+{
+    const std::string path =
+        testing::TempDir() + "tdp_test_trace_threads.json";
+    SpanTracer tracer;
+    tracer.setOutput(path);
+
+    // 64 short-lived threads, 8 alive at a time, one span each.
+    constexpr int threads = 64;
+    constexpr int batch = 8;
+    for (int first = 0; first < threads; first += batch) {
+        std::vector<std::thread> alive;
+        for (int i = first; i < first + batch; ++i) {
+            alive.emplace_back([&tracer, i] {
+                tracer.record("t", "short", static_cast<double>(i), 1.0);
+            });
+        }
+        for (std::thread &t : alive)
+            t.join();
+        // The batch's threads plus this one are all that ever lived
+        // at once; an exited thread's ring goes to the next thread.
+        EXPECT_LE(tracer.stats().rings, static_cast<uint64_t>(batch + 2))
+            << "after thread " << first + batch;
+    }
+    EXPECT_EQ(tracer.stats().recorded, static_cast<uint64_t>(threads));
+
+    ASSERT_TRUE(tracer.flush());
+    const std::string json = slurp(path);
+    size_t spans = 0;
+    for (size_t at = json.find("\"short\""); at != std::string::npos;
+         at = json.find("\"short\"", at + 1))
+        ++spans;
+    EXPECT_EQ(spans, static_cast<size_t>(threads));
     std::remove(path.c_str());
 }
 

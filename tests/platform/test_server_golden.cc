@@ -6,9 +6,12 @@
  * seed. These runs pin that output: any change to a floating-point
  * operation, its operand order or an RNG draw anywhere in the
  * per-quantum path changes the collected trace and fails here. The
- * three runs cover a partly awake idle machine, fully occupied cores
- * (gcc x8) and the page-cache, sync, disk and interrupt paths
- * (diskload x8).
+ * first three runs cover a partly awake idle machine, fully occupied
+ * cores (gcc x8) and the page-cache, sync, disk and interrupt paths
+ * (diskload x8). The fourth repeats diskload x8 with every
+ * measurement fault enabled, so the sampler's and DAQ's fault draws,
+ * the delayed and duplicated sync pulses and the aligner's recovery
+ * paths are pinned too.
  *
  * The digest is FNV-1a over a canonical walk of the samples, not over
  * any on-disk bytes: per sample, the time, the interval, the three
@@ -27,6 +30,7 @@
 #include <string>
 
 #include "common/hash.hh"
+#include "fault/fault_plan.hh"
 #include "platform/server.hh"
 
 namespace tdp {
@@ -65,12 +69,16 @@ struct GoldenRun
     uint64_t traceDigest;
     uint64_t quanta;
     uint64_t events;
+    bool faults = false;
 };
 
 void
 expectGolden(const GoldenRun &golden)
 {
-    Server server(goldenSeed);
+    Server::Params params;
+    if (golden.faults)
+        params.rig.faults = FaultPlan::allFaults();
+    Server server(goldenSeed, params);
     const std::string workload = golden.workload;
     if (workload != "idle")
         server.runner().launchStaggered(workload, 8, 0.5, 0.0);
@@ -79,11 +87,20 @@ expectGolden(const GoldenRun &golden)
     const uint64_t digest = canonicalDigest(trace);
 
     EXPECT_EQ(digest, golden.traceDigest)
-        << workload << ": sample digest 0x" << std::hex << digest;
+        << workload << (golden.faults ? " (faults)" : "")
+        << ": sample digest 0x" << std::hex << digest;
     EXPECT_EQ(server.system().quantaExecuted(), golden.quanta)
         << workload;
     EXPECT_EQ(server.system().events().processedCount(), golden.events)
         << workload;
+    if (golden.faults) {
+        // The run reaches the aligner's recovery paths.
+        const TraceAligner &aligner = server.rig().aligner();
+        EXPECT_GT(aligner.duplicatePulses(), 0u);
+        EXPECT_GT(aligner.resyncedWindows(), 0u);
+        EXPECT_GT(aligner.orphanReadings(), 0u);
+        EXPECT_GT(aligner.glitchValuesDiscarded(), 0u);
+    }
 }
 
 TEST(ServerGolden, IdleTraceIsBitIdentical)
@@ -99,6 +116,11 @@ TEST(ServerGolden, FullyOccupiedGccTraceIsBitIdentical)
 TEST(ServerGolden, DiskloadTraceIsBitIdentical)
 {
     expectGolden({"diskload", 0x6b987f2b967e83f3ull, 20000, 28});
+}
+
+TEST(ServerGolden, FaultInjectedDiskloadTraceIsBitIdentical)
+{
+    expectGolden({"diskload", 0xaf25c3d0d25c2e7cull, 20000, 47, true});
 }
 
 } // namespace
